@@ -1,7 +1,8 @@
 //! Criterion bench: LP/MILP solve time for Conductor models of growing size
 //! (the statistical counterpart of Figure 16), plus before/after comparisons
 //! of the solver configurations: the preserved seed implementation, the
-//! flat-tableau solver cold, and the warm-started solver (the default).
+//! production solver cold, and the warm-started production solver (the
+//! default).
 
 use conductor_cloud::Catalog;
 use conductor_core::{Goal, ModelConfig, ModelInstance, Planner, ResourcePool};

@@ -8,7 +8,7 @@ use conductor_bench::solver_bench;
 fn main() {
     println!("{}", conductor_bench::experiments::fig16_solve_time());
 
-    println!("\nSolver before/after comparison (seed vs flat-tableau vs warm-started):\n");
+    println!("\nSolver before/after comparison (seed oracle vs production engine):\n");
     let report = solver_bench::solver_benchmark();
     print!("{}", solver_bench::render_report(&report));
 

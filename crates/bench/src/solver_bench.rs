@@ -1,12 +1,12 @@
-//! Engine-vs-engine comparison harness for the planner's MIP solver.
+//! Before/after comparison harness for the planner's MIP solver.
 //!
-//! Runs the fig16-style planning workloads through the three selectable LP
-//! engines — the preserved seed implementation (`Engine::SeedBaseline`), the
-//! flat dense tableau (`Engine::DenseTableau`) and the sparse revised
-//! simplex (`Engine::RevisedSparse`, the default) — and reports wall-clock,
-//! plan cost per engine and the revised engine's warm-start/factorization
-//! statistics. The `fig16_solve_time` binary serializes this report to
-//! `BENCH_solver.json` so the perf trajectory is tracked across PRs.
+//! Runs the fig16-style planning workloads through the production LP
+//! engine (`Engine::RevisedSparse`, the default) and through the preserved
+//! seed implementation (`Engine::SeedBaseline`, the frozen oracle), and
+//! reports wall-clock, plan cost per engine and the production engine's
+//! warm-start/factorization statistics. The `fig16_solve_time` binary
+//! serializes this report to `BENCH_solver.json` so the perf trajectory is
+//! tracked across changes.
 
 use crate::experiments::{churn_fixture, run_fleet_online, run_sharded_session};
 use conductor_cloud::{catalog::mbps_to_gb_per_hour, Catalog};
@@ -16,7 +16,7 @@ use conductor_mapreduce::{JobSpec, Workload};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// One workload × three-engine measurement.
+/// One workload measured under the seed and the production engine.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolverBenchRow {
     /// Workload label, e.g. `kmeans-64gb-mig` for the migration-enabled run.
@@ -33,49 +33,31 @@ pub struct SolverBenchRow {
     /// workload (its fragile pivoting exhausts the per-LP iteration cap on
     /// the larger residency-charged models — itself a headline result).
     pub seed_total_ms: Option<f64>,
-    pub dense_total_ms: f64,
-    pub revised_total_ms: f64,
+    pub production_total_ms: f64,
     /// Solver-only wall-clock, milliseconds.
     pub seed_solve_ms: Option<f64>,
-    pub dense_solve_ms: f64,
-    pub revised_solve_ms: f64,
-    /// Plan cost (objective) per engine — dense and revised must agree to
-    /// ~1e-4 relative (identical incumbents except where the 1 % gap stops
-    /// the two searches at different-but-equivalent solutions).
+    pub production_solve_ms: f64,
+    /// Plan cost (objective) per engine. Both solve to the same relative
+    /// gap, so the production cost must stay within `seed × (1 + gap)`.
     pub seed_cost: Option<f64>,
-    pub dense_cost: f64,
-    pub revised_cost: f64,
-    /// Revised engine with each flagged solver-core upgrade stacked on:
-    /// bounded-variable simplex alone, then with Forrest–Tomlin updates,
-    /// then with dual steepest-edge pricing too (the full new
-    /// configuration). All four revised columns must land on the same
-    /// plan cost.
-    pub bounded_solve_ms: f64,
-    pub bounded_ft_solve_ms: f64,
-    pub full_solve_ms: f64,
-    pub full_cost: f64,
-    /// `revised_solve_ms / full_solve_ms` — the rebuild's per-row gain
-    /// over the legacy (span-row, eta-file, Dantzig-repair) engine.
-    pub speedup_full_vs_legacy: f64,
-    /// Revised-engine branch & bound statistics.
+    pub production_cost: f64,
+    /// Production-engine branch & bound statistics.
     pub nodes: usize,
     pub simplex_iterations: usize,
-    /// Pivot counters for the full new configuration: ratio-test bound
-    /// flips (pivots the bounded-variable mode avoided entirely) and
-    /// Forrest–Tomlin factor updates (eta appends avoided).
+    /// Ratio-test bound flips (pivots avoided entirely) and Forrest–Tomlin
+    /// factor updates.
     pub bound_flips: usize,
     pub ft_updates: usize,
     pub warm_start_hits: usize,
     pub warm_start_misses: usize,
     pub warm_start_rate: f64,
-    /// LU factorizations performed by the revised engine, and the subset
-    /// triggered mid-stream by the eta limit / drift checks.
+    /// LU factorizations, and the subset triggered mid-stream by the
+    /// update limit / drift checks.
     pub basis_factorizations: usize,
     pub basis_refactorizations: usize,
-    /// `seed_solve_ms / revised_solve_ms` (`None` when the seed engine DNF'd).
+    /// `seed_solve_ms / production_solve_ms` (`None` when the seed engine
+    /// DNF'd).
     pub speedup_vs_seed: Option<f64>,
-    /// `dense_solve_ms / revised_solve_ms`.
-    pub speedup_vs_dense: f64,
 }
 
 /// Admission throughput on the canonical churn fleet: the same Poisson
@@ -90,11 +72,7 @@ pub struct SolverBenchRow {
 pub struct AdmissionBenchRow {
     /// Poisson arrivals in the fixture.
     pub jobs: usize,
-    /// End-to-end wall clock with the plan cache off / on, seconds. The
-    /// cold and cached runs use the full new solver configuration
-    /// (bounded-variables + Forrest–Tomlin + dual steepest-edge) — the
-    /// engine this rebuild ships; the legacy columns below keep the
-    /// span-row engine's cold path for comparison.
+    /// End-to-end wall clock with the plan cache off / on, seconds.
     pub cold_wall_s: f64,
     pub cached_wall_s: f64,
     /// Admission decisions per second of end-to-end wall clock.
@@ -102,15 +80,6 @@ pub struct AdmissionBenchRow {
     pub cached_admissions_per_sec: f64,
     /// `cold_wall_s / cached_wall_s` (equals the admissions/sec ratio).
     pub wall_speedup: f64,
-    /// Cold path under the legacy revised engine (all new flags off).
-    #[serde(default)]
-    pub legacy_cold_wall_s: f64,
-    #[serde(default)]
-    pub legacy_cold_admissions_per_sec: f64,
-    /// `legacy_cold_wall_s / cold_wall_s` — the solver-core rebuild's
-    /// end-to-end gain on the cold admission path.
-    #[serde(default)]
-    pub cold_speedup_vs_legacy: f64,
     /// Certified cache hits (branch & bound skipped) and misses on the
     /// cached run.
     pub plan_cache_hits: usize,
@@ -174,31 +143,16 @@ pub fn shard_scaling_benchmark(jobs: usize) -> ShardScalingRow {
     }
 }
 
-/// The full new solver configuration on top of `base`: bounded-variable
-/// simplex, Forrest–Tomlin updates and dual steepest-edge pricing.
-fn full_flags(base: SolveOptions) -> SolveOptions {
-    SolveOptions {
-        bounded_variables: true,
-        forrest_tomlin: true,
-        dual_steepest_edge: true,
-        ..base
-    }
-}
-
 /// Measures [`AdmissionBenchRow`] on a `jobs`-arrival churn fleet.
 pub fn admission_benchmark(jobs: usize) -> AdmissionBenchRow {
     let (requests, service) = churn_fixture(jobs, 1.0);
     let t0 = Instant::now();
-    let _legacy_cold = run_fleet_online(&service, &requests);
-    let legacy_cold_wall = t0.elapsed().as_secs_f64();
-    let full_service = service.with_solve_options(full_flags(crate::experiments::solver_options()));
+    let _cold = run_fleet_online(&service, &requests);
+    let cold_wall = t0.elapsed().as_secs_f64();
+    let cached_service = service.with_plan_cache(true);
     let t1 = Instant::now();
-    let _cold = run_fleet_online(&full_service, &requests);
-    let cold_wall = t1.elapsed().as_secs_f64();
-    let cached_service = full_service.with_plan_cache(true);
-    let t2 = Instant::now();
     let cached = run_fleet_online(&cached_service, &requests);
-    let cached_wall = t2.elapsed().as_secs_f64();
+    let cached_wall = t1.elapsed().as_secs_f64();
     AdmissionBenchRow {
         jobs,
         cold_wall_s: cold_wall,
@@ -206,9 +160,6 @@ pub fn admission_benchmark(jobs: usize) -> AdmissionBenchRow {
         cold_admissions_per_sec: jobs as f64 / cold_wall.max(1e-9),
         cached_admissions_per_sec: jobs as f64 / cached_wall.max(1e-9),
         wall_speedup: cold_wall / cached_wall.max(1e-9),
-        legacy_cold_wall_s: legacy_cold_wall,
-        legacy_cold_admissions_per_sec: jobs as f64 / legacy_cold_wall.max(1e-9),
-        cold_speedup_vs_legacy: legacy_cold_wall / cold_wall.max(1e-9),
         plan_cache_hits: cached.plan_cache_hits,
         plan_cache_misses: cached.plan_cache_misses,
     }
@@ -219,29 +170,19 @@ pub fn admission_benchmark(jobs: usize) -> AdmissionBenchRow {
 pub struct SolverBenchReport {
     /// How to regenerate this file.
     pub generated_by: String,
-    /// The relative MIP gap all engines solve to.
+    /// The relative MIP gap both engines solve to.
     pub relative_gap: f64,
     pub rows: Vec<SolverBenchRow>,
-    /// Minimum per-row speedup of the revised engine over the seed engine,
-    /// over the rows the seed engine completed at all.
+    /// Minimum per-row speedup of the production engine over the seed
+    /// engine, over the rows the seed engine completed at all — the CI
+    /// floor is on this minimum.
     pub min_speedup_vs_seed: Option<f64>,
-    /// Geometric mean of the per-row revised-vs-seed speedups (completed
-    /// rows only).
+    /// Geometric mean of the per-row production-vs-seed speedups
+    /// (completed rows only).
     pub geomean_speedup_vs_seed: Option<f64>,
     /// Rows the seed engine failed to complete (per-LP iteration cap).
     pub seed_dnf_rows: usize,
-    /// Minimum per-row speedup of the revised engine over the dense tableau.
-    pub min_speedup_vs_dense: f64,
-    /// Geometric mean of the per-row revised-vs-dense speedups.
-    pub geomean_speedup_vs_dense: f64,
-    /// Minimum / geometric-mean per-row speedup of the full new solver
-    /// configuration (bounded-variables + FT + DSE) over the legacy
-    /// revised engine — the CI floor is on the geomean.
-    #[serde(default)]
-    pub min_speedup_full_vs_legacy: f64,
-    #[serde(default)]
-    pub geomean_speedup_full_vs_legacy: f64,
-    /// Revised-engine warm-start hits / attempts across all rows.
+    /// Production-engine warm-start hits / attempts across all rows.
     pub overall_warm_start_rate: f64,
     /// Churn-fleet admission throughput, plan cache off vs on (`None` in
     /// reports generated before the cache existed).
@@ -253,7 +194,7 @@ pub struct SolverBenchReport {
     pub shard_scaling: Option<ShardScalingRow>,
 }
 
-/// Solve options shared by every engine (fig16's gap, a generous cap so none
+/// Solve options shared by both engines (fig16's gap, a generous cap so none
 /// of the measured sizes are time-limited).
 fn bench_options() -> SolveOptions {
     SolveOptions {
@@ -328,37 +269,18 @@ fn run_best(
     best
 }
 
-/// Measures one workload under all three engines.
+/// Measures one workload under the seed and the production engine.
 pub fn bench_workload(input_gb: u32, migration: bool) -> SolverBenchRow {
-    let engine_opts = |engine: Engine| SolveOptions {
-        engine,
-        ..bench_options()
-    };
-
-    let seed = run_best(input_gb, migration, engine_opts(Engine::SeedBaseline));
-    let (dense_total, dense_solve, dense_cost, _) =
-        run_best(input_gb, migration, engine_opts(Engine::DenseTableau))
-            .expect("dense engine must complete the bench workloads");
-    let (revised_total, revised_solve, revised_cost, report) =
-        run_best(input_gb, migration, engine_opts(Engine::RevisedSparse))
-            .expect("revised engine must complete the bench workloads");
-
-    // The flagged solver-core upgrades, stacked in the order the ablation
-    // reads: bounded-variable simplex, + Forrest–Tomlin, + dual
-    // steepest-edge (the full new configuration).
-    let flagged = |bounded: bool, ft: bool, dse: bool| SolveOptions {
-        bounded_variables: bounded,
-        forrest_tomlin: ft,
-        dual_steepest_edge: dse,
-        ..engine_opts(Engine::RevisedSparse)
-    };
-    let (_, bounded_solve, _, _) = run_best(input_gb, migration, flagged(true, false, false))
-        .expect("bounded-variable engine must complete the bench workloads");
-    let (_, bounded_ft_solve, _, _) = run_best(input_gb, migration, flagged(true, true, false))
-        .expect("bounded+FT engine must complete the bench workloads");
-    let (_, full_solve, full_cost, full_report) =
-        run_best(input_gb, migration, flagged(true, true, true))
-            .expect("full new configuration must complete the bench workloads");
+    let seed = run_best(
+        input_gb,
+        migration,
+        SolveOptions {
+            engine: Engine::SeedBaseline,
+            ..bench_options()
+        },
+    );
+    let (total, solve, cost, report) = run_best(input_gb, migration, bench_options())
+        .expect("the production engine must complete the bench workloads");
 
     SolverBenchRow {
         workload: format!("kmeans-{input_gb}gb{}", if migration { "-mig" } else { "" }),
@@ -366,30 +288,21 @@ pub fn bench_workload(input_gb: u32, migration: bool) -> SolverBenchRow {
         interval_hours: if input_gb > 32 { 2.0 } else { 1.0 },
         migration,
         seed_total_ms: seed.as_ref().map(|s| s.0),
-        dense_total_ms: dense_total,
-        revised_total_ms: revised_total,
+        production_total_ms: total,
         seed_solve_ms: seed.as_ref().map(|s| s.1),
-        dense_solve_ms: dense_solve,
-        revised_solve_ms: revised_solve,
+        production_solve_ms: solve,
         seed_cost: seed.as_ref().map(|s| s.2),
-        dense_cost,
-        revised_cost,
-        bounded_solve_ms: bounded_solve,
-        bounded_ft_solve_ms: bounded_ft_solve,
-        full_solve_ms: full_solve,
-        full_cost,
-        speedup_full_vs_legacy: revised_solve / full_solve.max(1e-9),
+        production_cost: cost,
         nodes: report.nodes_explored,
         simplex_iterations: report.simplex_iterations,
-        bound_flips: full_report.bound_flips,
-        ft_updates: full_report.ft_updates,
+        bound_flips: report.bound_flips,
+        ft_updates: report.ft_updates,
         warm_start_hits: report.warm_start_hits,
         warm_start_misses: report.warm_start_misses,
         warm_start_rate: report.warm_start_rate(),
         basis_factorizations: report.basis_factorizations,
         basis_refactorizations: report.basis_refactorizations,
-        speedup_vs_seed: seed.as_ref().map(|s| s.1 / revised_solve.max(1e-9)),
-        speedup_vs_dense: dense_solve / revised_solve.max(1e-9),
+        speedup_vs_seed: seed.as_ref().map(|s| s.1 / solve.max(1e-9)),
     }
 }
 
@@ -411,8 +324,6 @@ pub fn solver_benchmark() -> SolverBenchReport {
         }
     };
     let min_of = |xs: &[f64]| xs.iter().copied().reduce(f64::min);
-    let vs_dense: Vec<f64> = rows.iter().map(|r| r.speedup_vs_dense).collect();
-    let full_vs_legacy: Vec<f64> = rows.iter().map(|r| r.speedup_full_vs_legacy).collect();
     let hits: usize = rows.iter().map(|r| r.warm_start_hits).sum();
     let misses: usize = rows.iter().map(|r| r.warm_start_misses).sum();
     let overall_rate = if hits + misses == 0 {
@@ -427,10 +338,6 @@ pub fn solver_benchmark() -> SolverBenchReport {
         min_speedup_vs_seed: min_of(&vs_seed),
         geomean_speedup_vs_seed: geomean(&vs_seed),
         seed_dnf_rows: rows.iter().filter(|r| r.seed_solve_ms.is_none()).count(),
-        min_speedup_vs_dense: min_of(&vs_dense).expect("non-empty matrix"),
-        geomean_speedup_vs_dense: geomean(&vs_dense).expect("non-empty matrix"),
-        min_speedup_full_vs_legacy: min_of(&full_vs_legacy).expect("non-empty matrix"),
-        geomean_speedup_full_vs_legacy: geomean(&full_vs_legacy).expect("non-empty matrix"),
         overall_warm_start_rate: overall_rate,
         admission: Some(admission_benchmark(200)),
         shard_scaling: Some(shard_scaling_benchmark(200)),
@@ -441,7 +348,7 @@ pub fn solver_benchmark() -> SolverBenchReport {
 /// Renders the report as a human-readable table (printed next to the JSON).
 pub fn render_report(report: &SolverBenchReport) -> String {
     let mut out = String::from(
-        "workload          seed ms   dense ms  revised ms  vs seed  vs dense  warm-rate  cost (seed/dense/revised)\n",
+        "workload          seed ms  prod. ms  vs seed  warm-rate  iterations  bound-flips  ft-updates  cost (seed/prod.)\n",
     );
     let opt = |v: Option<f64>, decimals: usize, unit: &str| match v {
         Some(x) => format!("{x:>8.decimals$}{unit}"),
@@ -449,60 +356,34 @@ pub fn render_report(report: &SolverBenchReport) -> String {
     };
     for r in &report.rows {
         out.push_str(&format!(
-            "{:<16} {} {:>10.1} {:>11.1} {} {:>8.2}x {:>9.0}% {}/{:.2}/{:.2}\n",
+            "{:<16} {} {:>9.1} {} {:>9.0}% {:>11} {:>12} {:>11}  {}/{:.2}\n",
             r.workload,
             opt(r.seed_solve_ms, 1, ""),
-            r.dense_solve_ms,
-            r.revised_solve_ms,
+            r.production_solve_ms,
             opt(r.speedup_vs_seed, 2, "x"),
-            r.speedup_vs_dense,
             r.warm_start_rate * 100.0,
-            r.seed_cost
-                .map(|c| format!("{c:.2}"))
-                .unwrap_or_else(|| "DNF".into()),
-            r.dense_cost,
-            r.revised_cost,
-        ));
-    }
-    out.push_str(&format!(
-        "revised vs seed: min {} geomean {} ({} seed DNF rows) | vs dense: min {:.2}x geomean {:.2}x | warm-start rate {:.0}%\n",
-        opt(report.min_speedup_vs_seed, 2, "x"),
-        opt(report.geomean_speedup_vs_seed, 2, "x"),
-        report.seed_dnf_rows,
-        report.min_speedup_vs_dense,
-        report.geomean_speedup_vs_dense,
-        report.overall_warm_start_rate * 100.0
-    ));
-    out.push_str(
-        "\nsolver-core ablation (revised engine, flags stacked):\n\
-         workload          legacy ms  +bounded  +bounded+ft      full  full vs legacy  iterations  bound-flips  ft-updates\n",
-    );
-    for r in &report.rows {
-        out.push_str(&format!(
-            "{:<16} {:>10.1} {:>9.1} {:>12.1} {:>9.1} {:>14.2}x {:>11} {:>12} {:>11}\n",
-            r.workload,
-            r.revised_solve_ms,
-            r.bounded_solve_ms,
-            r.bounded_ft_solve_ms,
-            r.full_solve_ms,
-            r.speedup_full_vs_legacy,
             r.simplex_iterations,
             r.bound_flips,
             r.ft_updates,
+            r.seed_cost
+                .map(|c| format!("{c:.2}"))
+                .unwrap_or_else(|| "DNF".into()),
+            r.production_cost,
         ));
     }
     out.push_str(&format!(
-        "full config vs legacy revised: min {:.2}x geomean {:.2}x\n",
-        report.min_speedup_full_vs_legacy, report.geomean_speedup_full_vs_legacy,
+        "production vs seed: min {} geomean {} ({} seed DNF rows) | warm-start rate {:.0}%\n",
+        opt(report.min_speedup_vs_seed, 2, "x"),
+        opt(report.geomean_speedup_vs_seed, 2, "x"),
+        report.seed_dnf_rows,
+        report.overall_warm_start_rate * 100.0
     ));
     if let Some(a) = &report.admission {
         out.push_str(&format!(
-            "churn admissions ({} jobs): cold {:.1}/s ({:.2} s; legacy engine {:.1}/s = {:.2}x), plan cache {:.1}/s ({:.2} s) = {:.2}x, {} hits / {} misses\n",
+            "churn admissions ({} jobs): cold {:.1}/s ({:.2} s), plan cache {:.1}/s ({:.2} s) = {:.2}x, {} hits / {} misses\n",
             a.jobs,
             a.cold_admissions_per_sec,
             a.cold_wall_s,
-            a.legacy_cold_admissions_per_sec,
-            a.cold_speedup_vs_legacy,
             a.cached_admissions_per_sec,
             a.cached_wall_s,
             a.wall_speedup,
@@ -530,28 +411,22 @@ pub fn render_report(report: &SolverBenchReport) -> String {
 mod tests {
     use super::*;
 
-    /// The smallest workload: all three engines must agree on cost within
-    /// the configured gap, and revised-engine warm starts must actually fire.
+    /// The smallest workload: both engines must agree on cost within the
+    /// configured gap, and production warm starts must actually fire.
     #[test]
     fn engines_agree_and_warm_starts_fire() {
         let row = bench_workload(32, false);
         let seed_cost = row.seed_cost.expect("seed completes the 32 GB workload");
         let tol = bench_options().relative_gap * seed_cost.abs() + 1e-6;
         assert!(
-            (seed_cost - row.revised_cost).abs() <= 2.0 * tol,
-            "seed {seed_cost} vs revised {}",
-            row.revised_cost
-        );
-        assert!(
-            (row.dense_cost - row.revised_cost).abs() <= 2.0 * tol,
-            "dense {} vs revised {}",
-            row.dense_cost,
-            row.revised_cost
+            (seed_cost - row.production_cost).abs() <= 2.0 * tol,
+            "seed {seed_cost} vs production {}",
+            row.production_cost
         );
         assert!(row.warm_start_hits > 0, "no warm-start hits: {row:?}");
         assert!(
             row.basis_factorizations > 0,
-            "revised engine reported no factorizations: {row:?}"
+            "production engine reported no factorizations: {row:?}"
         );
     }
 }

@@ -73,12 +73,12 @@ fn fig08_storage_mix_curve_matches_paper_ordering() {
     );
 }
 
-/// Figure 16 smoke for the solver engines: the revised sparse engine and the
-/// dense tableau must plan the fig16 workload to identical costs (they solve
-/// the same relaxations to the same optima; only the linear algebra
-/// differs).
+/// Figure 16 smoke for the solver engines: the production engine and the
+/// frozen seed oracle must plan the 32 GB fig16 workload to the same cost
+/// (they solve the same relaxations to the same optima; only the linear
+/// algebra differs).
 #[test]
-fn fig16_revised_and_dense_plan_costs_are_identical() {
+fn fig16_production_and_seed_plan_costs_are_identical() {
     use conductor_cloud::{catalog::mbps_to_gb_per_hour, Catalog};
     use conductor_core::{Goal, Planner, ResourcePool};
     use conductor_lp::{Engine, SolveOptions};
@@ -105,11 +105,11 @@ fn fig16_revised_and_dense_plan_costs_are_identical() {
             .expect("fig16 smoke plan");
         plan.expected_cost
     };
-    let dense = plan_cost(Engine::DenseTableau);
-    let revised = plan_cost(Engine::RevisedSparse);
+    let seed = plan_cost(Engine::SeedBaseline);
+    let production = plan_cost(Engine::RevisedSparse);
     assert!(
-        (dense - revised).abs() < 1e-9,
-        "dense {dense} vs revised {revised}"
+        (seed - production).abs() < 1e-9,
+        "seed {seed} vs production {production}"
     );
 }
 

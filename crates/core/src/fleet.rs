@@ -212,9 +212,9 @@ pub struct FleetConfig {
     pub plan_cache: bool,
     /// Validation mode: probe the plan cache at every admission and
     /// record how each would-be hit compares against the full solve that
-    /// actually decides — but never *use* a cached plan. The probe runs
-    /// through its own solve context, so the session's trajectory stays
-    /// bitwise identical to `plan_cache: false`. Query the comparison
+    /// actually decides — but never *use* a cached plan. Branch & bound
+    /// solves do not depend on what the solver probed before, so the
+    /// session's trajectory stays bitwise identical to `plan_cache: false`. Query the comparison
     /// via [`Fleet::plan_cache_shadow_stats`]. Takes precedence over
     /// `plan_cache` when both are set.
     pub plan_cache_shadow: bool,
@@ -1352,15 +1352,13 @@ pub struct Fleet {
     /// `residual_pool` (interior mutability: queries lazily refresh the
     /// cache but are logically reads).
     residual_index: RefCell<ResidualIndex>,
-    /// Cross-solve skeleton/basis reuse for admission and re-plan solves:
-    /// look-alike models drain through one factorization instead of each
-    /// paying a cold two-phase fill.
+    /// Cross-solve skeleton and allocation reuse for admission, re-plan
+    /// and plan-cache probe solves. Never part of the session's state: no
+    /// plan depends on it, so checkpoints leave it out and a restore starts
+    /// a fresh one.
     solve_ctx: SolveContext,
     /// Admission plan cache (inert unless [`FleetConfig::plan_cache`]).
     plan_cache: PlanCache,
-    /// Separate context for shadow-mode probes, so validation probing
-    /// never perturbs the basis chain of the real solves.
-    shadow_ctx: SolveContext,
 }
 
 impl std::fmt::Debug for Fleet {
@@ -1453,7 +1451,6 @@ impl Fleet {
             residual_index: RefCell::new(ResidualIndex::default()),
             solve_ctx: SolveContext::new(),
             plan_cache: PlanCache::default(),
-            shadow_ctx: SolveContext::new(),
         })
     }
 
@@ -2207,8 +2204,8 @@ impl Fleet {
         // The fast path: a cached sibling plan that fits the residual and
         // re-prices within the certified gap of this admission's root LP
         // bound skips branch & bound entirely. In shadow mode the probe
-        // still runs (through its own solve context) but only for
-        // comparison — the full solve below keeps deciding.
+        // still runs but only for comparison — the full solve below keeps
+        // deciding.
         let shadow = self.config.plan_cache_shadow;
         let probe = match (self.config.plan_cache || shadow, request.goal) {
             (true, Goal::MinimizeCost { deadline_hours }) => {
@@ -2338,10 +2335,10 @@ impl Fleet {
     /// root LP bound — a certificate of near-optimality that the cold
     /// path's node-cap terminations do not even carry. Among qualifying
     /// entries the cheapest re-priced shape wins. The root relaxation is
-    /// solved through the shared context either way, so a miss's full
-    /// solve warm-starts from it — except in shadow mode, which probes
-    /// through a separate context so the real solve sequence (and hence
-    /// the session trajectory) stays bitwise identical to cache-off.
+    /// solved through the shared context, warm-started from whatever it
+    /// solved last; branch & bound solves are history-free, so the probe
+    /// never perturbs a later solve (shadow mode stays bitwise identical
+    /// to cache-off).
     fn try_plan_cache(
         &mut self,
         planner: &Planner,
@@ -2352,20 +2349,16 @@ impl Fleet {
     ) -> Option<(ExecutionPlan, PlanningReport, PlanCacheKey)> {
         let horizon = (deadline_hours / planner.interval_hours).ceil().max(1.0) as usize;
         self.plan_cache.last_bound = None;
-        let ctx = if self.config.plan_cache_shadow {
-            &mut self.shadow_ctx
-        } else {
-            &mut self.solve_ctx
-        };
-        let root = match planner.root_bound_with_ctx(spec, deadline_hours, config, ctx) {
-            Ok(root) => root,
-            Err(_) => {
-                // An infeasible/failed relaxation: fall through to the full
-                // solve, which surfaces the identical error to the caller.
-                self.plan_cache.misses += 1;
-                return None;
-            }
-        };
+        let root =
+            match planner.root_bound_with_ctx(spec, deadline_hours, config, &mut self.solve_ctx) {
+                Ok(root) => root,
+                Err(_) => {
+                    // An infeasible/failed relaxation: fall through to the full
+                    // solve, which surfaces the identical error to the caller.
+                    self.plan_cache.misses += 1;
+                    return None;
+                }
+            };
         self.plan_cache.last_bound = Some(root.bound);
         let key = PlanCacheKey::new(spec, horizon);
         let prices_now = resolved_prices(residual, &config.price_forecast, horizon);
@@ -3273,11 +3266,12 @@ impl Fleet {
     /// A complete serializable image of the paused session: logical clock,
     /// the pending event heap verbatim, every tenant's execution state,
     /// billing, policy state (gate, breaker, dead letters), the admission
-    /// plan cache, the event log, and the exact solver-context bytes —
-    /// everything [`restore`](Self::restore) needs to continue bit for
-    /// bit. The catalog, pool and config are *not* captured (they are
-    /// session inputs; `restore` takes them as arguments), and neither
-    /// are observers (processes, not data).
+    /// plan cache and the event log — everything
+    /// [`restore`](Self::restore) needs to continue bit for bit. The
+    /// catalog, pool and config are *not* captured (they are session
+    /// inputs; `restore` takes them as arguments), and neither are
+    /// observers (processes, not data) or the solver context (reusable
+    /// allocations that no plan depends on).
     ///
     /// Checkpoints are meaningful at event-batch boundaries, which is
     /// everywhere the public API can observe: `submit`, `cancel`,
@@ -3335,8 +3329,6 @@ impl Fleet {
             last_hour: self.last_hour,
             stepped_to: self.stepped_to,
             events: self.events.clone(),
-            solve_ctx: self.solve_ctx.export_state(),
-            shadow_ctx: self.shadow_ctx.export_state(),
             plan_cache: self.plan_cache.clone(),
         }
     }
@@ -3354,8 +3346,8 @@ impl Fleet {
     /// the residual index is rebuilt lazily on first use.
     ///
     /// Fails with [`ConductorError::InvalidInput`] on an invalid pool or
-    /// config, on non-finite snapshot floats (a NaN must never reach the
-    /// event heap), or on corrupt solver-context blobs.
+    /// config, or on non-finite snapshot floats (a NaN must never reach the
+    /// event heap).
     pub fn restore(
         catalog: Catalog,
         pool: ResourcePool,
@@ -3365,12 +3357,6 @@ impl Fleet {
         pool.validate().map_err(ConductorError::InvalidInput)?;
         config.validate()?;
         snapshot.validate()?;
-        let solve_ctx = SolveContext::import_state(&snapshot.solve_ctx).map_err(|e| {
-            ConductorError::InvalidInput(format!("corrupt solver-context blob: {e:?}"))
-        })?;
-        let shadow_ctx = SolveContext::import_state(&snapshot.shadow_ctx).map_err(|e| {
-            ConductorError::InvalidInput(format!("corrupt shadow-context blob: {e:?}"))
-        })?;
         let entries: Vec<ScheduledEvent<ClockEvent>> = snapshot
             .heap
             .iter()
@@ -3429,9 +3415,8 @@ impl Fleet {
             wal_error: None,
             batch: Vec::new(),
             residual_index: RefCell::new(ResidualIndex::default()),
-            solve_ctx,
+            solve_ctx: SolveContext::new(),
             plan_cache: snapshot.plan_cache.clone(),
-            shadow_ctx,
         })
     }
 
@@ -3573,8 +3558,6 @@ pub struct FleetSnapshot {
     last_hour: f64,
     stepped_to: f64,
     events: Vec<FleetEvent>,
-    solve_ctx: String,
-    shadow_ctx: String,
     plan_cache: PlanCache,
 }
 

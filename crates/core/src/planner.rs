@@ -34,19 +34,18 @@ pub struct PlanningReport {
     #[serde(default)]
     pub warm_start_misses: usize,
     /// LU factorizations of the simplex basis (revised engine; 0 for the
-    /// tableau engines).
+    /// seed tableau).
     #[serde(default)]
     pub basis_factorizations: usize,
-    /// Factorizations triggered mid-stream by the eta limit or a drift
+    /// Factorizations triggered mid-stream by the update limit or a drift
     /// check (subset of `basis_factorizations`).
     #[serde(default)]
     pub basis_refactorizations: usize,
-    /// Bound flips by the bounded-variable ratio test (0 unless
-    /// `SolveOptions::bounded_variables` is on).
+    /// Bound flips by the ratio test (a column moving between its bounds
+    /// with no basis change).
     #[serde(default)]
     pub bound_flips: usize,
-    /// Forrest–Tomlin factor updates (0 unless
-    /// `SolveOptions::forrest_tomlin` is on).
+    /// Forrest–Tomlin factor updates.
     #[serde(default)]
     pub ft_updates: usize,
 }
@@ -155,9 +154,10 @@ impl Planner {
     }
 
     /// [`Self::plan_with_config`] with a cross-solve [`SolveContext`]: a
-    /// stream of look-alike admissions drains through one standard-form
-    /// skeleton and factorized basis, each solve warm-starting its root
-    /// from the previous solve's optimum instead of a cold two-phase fill.
+    /// stream of look-alike admissions reuses one standard-form skeleton
+    /// and one set of solver allocations. The plan is the one
+    /// [`Self::plan_with_config`] returns — the context never changes an
+    /// outcome.
     pub fn plan_with_config_ctx(
         &self,
         spec: &JobSpec,
@@ -194,9 +194,9 @@ impl Planner {
     /// its root LP relaxation through `ctx` — the certified lower bound a
     /// plan cache compares a candidate reused plan against, at a fraction
     /// of a branch & bound's cost. Returns the bound together with the
-    /// model dimensions (for reporting). The context keeps the optimal
-    /// factorized basis, so a full solve on a cache miss warm-starts from
-    /// the relaxation just computed.
+    /// model dimensions (for reporting). The probe warm-starts from the
+    /// basis the context solved last, which keeps it cheap on a stream of
+    /// look-alike admissions.
     pub fn root_bound_with_ctx(
         &self,
         spec: &JobSpec,
@@ -210,11 +210,7 @@ impl Planner {
         let model_build_time = build_start.elapsed();
         let solve_start = std::time::Instant::now();
         let bound = ctx
-            .relaxation_bound(
-                &model.problem,
-                &self.solve_options,
-                self.solve_options.max_simplex_iterations,
-            )
+            .relaxation_bound(&model.problem, self.solve_options.max_simplex_iterations)
             .map_err(ConductorError::Planning)?;
         Ok(RootBound {
             bound,

@@ -8,19 +8,23 @@
 //! feasible solution found so far is returned (§4.8).
 //!
 //! The solver hot path is built around three reuse layers (see
-//! [`crate::simplex`]): one [`StandardFormSkeleton`] for the whole tree, one
-//! [`SimplexWorkspace`] reused by every node, and parent-basis warm starts
-//! threaded through each node's saved basis. Hit/miss counts land in
-//! [`SolveStats::warm_start_hits`] / [`SolveStats::warm_start_misses`] so
-//! benchmarks can verify the warm-start rate.
+//! [`crate::simplex`] and [`crate::revised`]): one [`StandardFormSkeleton`]
+//! for the whole tree, one [`RevisedWorkspace`] reused by every node, and
+//! parent-basis warm starts threaded through each node's saved basis.
+//! Hit/miss counts land in [`SolveStats::warm_start_hits`] /
+//! [`SolveStats::warm_start_misses`] so benchmarks can verify the warm-start
+//! rate.
+//!
+//! Every solve is *history-free*: the root relaxation always starts from
+//! the canonical cold basis, so a solve's result — plan, status, node count
+//! and work counters — is a function of the problem and the options alone,
+//! never of what a shared [`SolveContext`] solved before.
 
 use crate::error::LpError;
 use crate::problem::{Engine, Problem, Sense, SolveOptions, VarKind};
-use crate::revised::{solve_with_skeleton_revised, RevisedWorkspace};
+use crate::revised::{solve_with_skeleton, RevisedWorkspace};
 use crate::seed_baseline;
-use crate::simplex::{
-    solve_with_skeleton, SimplexResult, SimplexWorkspace, StandardFormSkeleton, WarmStart,
-};
+use crate::simplex::{SimplexResult, StandardFormSkeleton, WarmStart};
 use crate::solution::{Solution, SolveStats, SolveStatus};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -29,25 +33,24 @@ use std::time::Instant;
 
 /// Solves `problem` (LP or MIP) under `options`.
 pub fn solve(problem: &Problem, options: &SolveOptions) -> Result<Solution, LpError> {
-    let start = Instant::now();
-    let lower: Vec<f64> = problem.variables().iter().map(|v| v.lower).collect();
-    let upper: Vec<f64> = problem.variables().iter().map(|v| v.upper).collect();
-
-    let solver = NodeSolver::new(problem, options, &lower, &upper)?;
-    let (result, _solver) = solve_nodes(problem, options, start, solver, lower, upper, None);
-    result
+    solve_with_context(problem, options, &mut SolveContext::new())
 }
 
 /// Cross-solve reuse state for a stream of structurally look-alike problems
 /// — the batched-admission fast path. Holds one boxed standard-form
 /// skeleton, rebound in place when the next problem matches (same matrix,
-/// new RHS/objective), and one revised workspace whose factorized basis
-/// warm-starts the next solve's root from the previous solve's final basis.
-/// A problem that does not match falls back transparently to a rebuild.
+/// new RHS/objective), and one revised workspace whose allocations every
+/// later solve reuses. A problem that does not match falls back
+/// transparently to a rebuild.
+///
+/// The context never changes an outcome: [`solve_with_context`] solves the
+/// root cold. The one warm path is [`SolveContext::relaxation_bound`], the
+/// plan-cache probe, which starts from the basis the context solved last —
+/// its output is a scalar LP optimum, so where it started cannot change
+/// which decision the optimum supports.
 #[derive(Debug, Default)]
 pub struct SolveContext {
     cached: Option<(Box<StandardFormSkeleton>, RevisedWorkspace)>,
-    last_basis: Vec<usize>,
     skeleton_reuses: usize,
     skeleton_rebuilds: usize,
 }
@@ -63,236 +66,143 @@ impl SolveContext {
         (self.skeleton_reuses, self.skeleton_rebuilds)
     }
 
-    /// Warm-start counts accumulated by the shared workspace.
-    pub fn warm_start_counts(&self) -> (usize, usize) {
-        self.cached
-            .as_ref()
-            .map(|(_, ws)| ws.warm_start_counts())
-            .unwrap_or((0, 0))
-    }
-
     /// Takes the cached engine, rebinding the skeleton to `problem` when the
     /// layout matches; otherwise rebuilds the skeleton (keeping the
     /// workspace's allocations, but invalidating its factorized state — the
     /// warm-reuse guard is address-based and a fresh box can legally land on
-    /// a freed address). The skeleton mode and workspace configuration
-    /// follow `options`; a cached legacy skeleton cannot serve a
-    /// bounded-variable solve (or vice versa) and is rebuilt.
+    /// a freed address).
     fn engine_for(
         &mut self,
         problem: &Problem,
-        options: &SolveOptions,
         lower: &[f64],
         upper: &[f64],
     ) -> Result<(Box<StandardFormSkeleton>, RevisedWorkspace), LpError> {
-        let build = |lo: &[f64], hi: &[f64]| {
-            if options.bounded_variables {
-                StandardFormSkeleton::new_bounded(problem, lo, hi)
-            } else {
-                StandardFormSkeleton::new(problem, lo, hi)
+        let mut ws = match self.cached.take() {
+            Some((mut skeleton, ws)) => {
+                if skeleton.rebind(problem, lower, upper) {
+                    self.skeleton_reuses += 1;
+                    return Ok((skeleton, ws));
+                }
+                ws
             }
+            None => RevisedWorkspace::default(),
         };
-        if let Some((mut skeleton, mut ws)) = self.cached.take() {
-            ws.configure(options.forrest_tomlin, options.dual_steepest_edge);
-            if skeleton.is_bounded() == options.bounded_variables
-                && skeleton.rebind(problem, lower, upper)
-            {
-                self.skeleton_reuses += 1;
-                return Ok((skeleton, ws));
-            }
-            ws.invalidate();
-            self.last_basis.clear();
-            let skeleton = Box::new(build(lower, upper)?);
-            self.skeleton_rebuilds += 1;
-            return Ok((skeleton, ws));
-        }
+        ws.invalidate();
         self.skeleton_rebuilds += 1;
-        let mut ws = RevisedWorkspace::default();
-        ws.configure(options.forrest_tomlin, options.dual_steepest_edge);
-        Ok((Box::new(build(lower, upper)?), ws))
+        Ok((
+            Box::new(StandardFormSkeleton::new(problem, lower, upper)?),
+            ws,
+        ))
     }
 
     /// Solves only the root LP relaxation of `problem` through the shared
     /// skeleton/workspace and returns its objective in the problem's own
     /// sense — the bound a plan-cache certificate compares a reused plan
-    /// against. The workspace keeps the optimal factorized state, so a full
-    /// solve of the same problem immediately afterwards warm-starts from it.
+    /// against. Warm-starts from whatever optimal basis the workspace holds
+    /// (the previous probe's or solve's), which is what keeps the probe
+    /// cheap on a stream of look-alike admissions.
     pub fn relaxation_bound(
         &mut self,
         problem: &Problem,
-        options: &SolveOptions,
         max_iterations: usize,
     ) -> Result<f64, LpError> {
-        let lower: Vec<f64> = problem.variables().iter().map(|v| v.lower).collect();
-        let upper: Vec<f64> = problem.variables().iter().map(|v| v.upper).collect();
-        let (skeleton, mut ws) = self.engine_for(problem, options, &lower, &upper)?;
-        let prev = std::mem::take(&mut self.last_basis);
-        let hint = if prev.is_empty() {
-            None
-        } else {
-            Some(prev.as_slice())
-        };
-        let result =
-            solve_with_skeleton_revised(&skeleton, &mut ws, &lower, &upper, hint, max_iterations);
-        match &result {
-            Ok(r) => self.last_basis = r.basis.clone(),
-            Err(_) => self.last_basis.clear(),
-        }
+        let (lower, upper) = declared_bounds(problem);
+        let (skeleton, mut ws) = self.engine_for(problem, &lower, &upper)?;
+        // Any non-empty hint authorizes the workspace's warm path; the
+        // workspace's own guard decides whether its state is reusable.
+        let hint = ws.last_basis().to_vec();
+        let hint = (!hint.is_empty()).then_some(hint.as_slice());
+        let result = solve_with_skeleton(&skeleton, &mut ws, &lower, &upper, hint, max_iterations);
         self.cached = Some((skeleton, ws));
         result.map(|r| r.objective)
     }
-
-    /// Serializes the full context — cached skeleton, factorized workspace
-    /// and last optimal basis — into a hex blob suitable for embedding in a
-    /// JSON checkpoint. [`SolveContext::import_state`] rebuilds a context
-    /// that solves the next problem bit-for-bit like this one would have
-    /// (same warm-start path, same pivots, same floats).
-    pub fn export_state(&self) -> String {
-        let mut w = crate::state::Writer::new();
-        match &self.cached {
-            None => w.bool(false),
-            Some((skeleton, ws)) => {
-                w.bool(true);
-                skeleton.encode_state(&mut w);
-                ws.encode_state(skeleton, &mut w);
-            }
-        }
-        w.vec_usize(&self.last_basis);
-        w.usize(self.skeleton_reuses);
-        w.usize(self.skeleton_rebuilds);
-        w.into_hex()
-    }
-
-    /// Rebuilds a context from [`SolveContext::export_state`] output.
-    pub fn import_state(blob: &str) -> Result<Self, crate::state::StateError> {
-        let bytes = crate::state::from_hex(blob)?;
-        let mut r = crate::state::Reader::new(&bytes);
-        let cached = if r.bool()? {
-            let skeleton = Box::new(StandardFormSkeleton::decode_state(&mut r)?);
-            let ws = RevisedWorkspace::decode_state(&mut r, &skeleton)?;
-            Some((skeleton, ws))
-        } else {
-            None
-        };
-        let ctx = Self {
-            cached,
-            last_basis: r.vec_usize()?,
-            skeleton_reuses: r.usize()?,
-            skeleton_rebuilds: r.usize()?,
-        };
-        r.finish()?;
-        Ok(ctx)
-    }
 }
 
-/// Like [`solve`], but shares `ctx`'s skeleton, factorized workspace and
-/// final basis across calls: each successive solve of a matching problem
-/// warm-starts its root from the previous solve's optimum instead of a cold
-/// two-phase fill. Engines other than [`Engine::RevisedSparse`] gain nothing
-/// from the context and delegate to the plain path.
+/// Declared variable bounds as `(lower, upper)` vectors.
+fn declared_bounds(problem: &Problem) -> (Vec<f64>, Vec<f64>) {
+    (
+        problem.variables().iter().map(|v| v.lower).collect(),
+        problem.variables().iter().map(|v| v.upper).collect(),
+    )
+}
+
+/// Like [`solve`], but reuses `ctx`'s skeleton and workspace allocations
+/// across calls. The root is solved from the canonical cold start and the
+/// work counters are reset first, so the returned solution — objective,
+/// values, status, node count and stats (bar the wall-clock time) — is
+/// bit-for-bit what [`solve`] returns for the same problem, after any
+/// earlier sequence of solves through `ctx`.
 pub fn solve_with_context(
     problem: &Problem,
     options: &SolveOptions,
     ctx: &mut SolveContext,
 ) -> Result<Solution, LpError> {
-    if options.engine != Engine::RevisedSparse {
-        return solve(problem, options);
-    }
     let start = Instant::now();
-    let lower: Vec<f64> = problem.variables().iter().map(|v| v.lower).collect();
-    let upper: Vec<f64> = problem.variables().iter().map(|v| v.upper).collect();
-
-    let (skeleton, workspace) = ctx.engine_for(problem, options, &lower, &upper)?;
-    let root_basis = {
-        let prev = std::mem::take(&mut ctx.last_basis);
-        if prev.is_empty() {
-            None
-        } else {
-            Some(Rc::new(prev))
+    let (lower, upper) = declared_bounds(problem);
+    let engine = match options.engine {
+        Engine::SeedBaseline => EngineState::Seed,
+        Engine::RevisedSparse => {
+            let (skeleton, mut workspace) = ctx.engine_for(problem, &lower, &upper)?;
+            workspace.reset_counters();
+            EngineState::Revised {
+                skeleton,
+                workspace,
+            }
         }
     };
-    let solver = NodeSolver {
+    let mut solver = NodeSolver {
         problem,
         options,
-        engine: EngineState::Revised {
-            skeleton,
-            workspace,
-        },
+        engine,
     };
-    let (result, solver) = solve_nodes(problem, options, start, solver, lower, upper, root_basis);
+    let result = if problem.is_mip() {
+        let mut bb = BranchAndBound::new(problem, options, start, &mut solver);
+        bb.run(lower, upper)
+    } else {
+        solve_lp(&mut solver, start, &lower, &upper)
+    };
     if let EngineState::Revised {
         skeleton,
         workspace,
     } = solver.engine
     {
-        ctx.last_basis = workspace.last_basis().to_vec();
         ctx.cached = Some((skeleton, workspace));
     }
     result
 }
 
-/// Shared driver behind [`solve`] and [`solve_with_context`]: runs the
-/// single-relaxation path for pure LPs or the full branch & bound for MIPs,
-/// and hands the (possibly context-owned) engine back to the caller.
-fn solve_nodes<'a>(
-    problem: &'a Problem,
-    options: &'a SolveOptions,
+/// The single-relaxation path for pure LPs.
+fn solve_lp(
+    solver: &mut NodeSolver<'_>,
     start: Instant,
-    mut solver: NodeSolver<'a>,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    root_basis: Option<Rc<Vec<usize>>>,
-) -> (Result<Solution, LpError>, NodeSolver<'a>) {
-    if !problem.is_mip() {
-        let hint = root_basis.as_ref().map(|b| b.as_slice());
-        let r = match solver.solve_node(&lower, &upper, hint) {
-            Ok(r) => r,
-            Err(e) => return (Err(e), solver),
-        };
-        let (basis_factorizations, basis_refactorizations) = solver.factorization_counts();
-        let (bound_flips, ft_updates) = solver.pivot_counts();
-        let stats = SolveStats {
-            simplex_iterations: r.iterations,
-            nodes_explored: 1,
-            solve_time: start.elapsed(),
-            relative_gap: 0.0,
-            warm_start_hits: 0,
-            warm_start_misses: 0,
-            basis_factorizations,
-            basis_refactorizations,
-            bound_flips,
-            ft_updates,
-        };
-        return (
-            Ok(Solution::new(
-                SolveStatus::Optimal,
-                r.objective,
-                r.values,
-                stats,
-            )),
-            solver,
-        );
-    }
-
-    let mut bb = BranchAndBound::new(problem, options, start, solver);
-    let result = bb.run(lower, upper, root_basis);
-    (result, bb.node_solver)
+    lower: &[f64],
+    upper: &[f64],
+) -> Result<Solution, LpError> {
+    let r = solver.solve_node(lower, upper, None)?;
+    let stats = SolveStats {
+        simplex_iterations: r.iterations,
+        nodes_explored: 1,
+        solve_time: start.elapsed(),
+        relative_gap: 0.0,
+        ..solver.work_stats()
+    };
+    Ok(Solution::new(
+        SolveStatus::Optimal,
+        r.objective,
+        r.values,
+        stats,
+    ))
 }
 
 /// Per-tree LP backend: the engine selected by [`SolveOptions::engine`] with
-/// its shared skeleton + workspace, plus fallbacks for bound patterns the
+/// its shared skeleton + workspace, plus a fallback for bound patterns the
 /// skeleton cannot express.
 // One value exists per branch & bound tree, so the size spread between the
-// seed variant (unit) and the workspace-carrying ones is irrelevant.
+// seed variant (unit) and the workspace-carrying one is irrelevant.
 #[allow(clippy::large_enum_variant)]
 enum EngineState {
     /// The preserved seed implementation (no skeleton, no warm starts).
     Seed,
-    /// Flat dense tableau with embedded basis inverse.
-    Dense {
-        skeleton: StandardFormSkeleton,
-        workspace: SimplexWorkspace,
-    },
     /// Sparse revised simplex over an LU-factorized basis. The skeleton is
     /// boxed so its address (the workspace's warm-reuse tag) stays stable
     /// when the engine moves between a [`SolveContext`] and a solve.
@@ -309,42 +219,9 @@ struct NodeSolver<'a> {
 }
 
 impl<'a> NodeSolver<'a> {
-    fn new(
-        problem: &'a Problem,
-        options: &'a SolveOptions,
-        root_lower: &[f64],
-        root_upper: &[f64],
-    ) -> Result<Self, LpError> {
-        let engine = match options.engine {
-            Engine::SeedBaseline => EngineState::Seed,
-            Engine::DenseTableau => EngineState::Dense {
-                skeleton: StandardFormSkeleton::new(problem, root_lower, root_upper)?,
-                workspace: SimplexWorkspace::default(),
-            },
-            Engine::RevisedSparse => {
-                let skeleton = if options.bounded_variables {
-                    StandardFormSkeleton::new_bounded(problem, root_lower, root_upper)?
-                } else {
-                    StandardFormSkeleton::new(problem, root_lower, root_upper)?
-                };
-                let mut workspace = RevisedWorkspace::default();
-                workspace.configure(options.forrest_tomlin, options.dual_steepest_edge);
-                EngineState::Revised {
-                    skeleton: Box::new(skeleton),
-                    workspace,
-                }
-            }
-        };
-        Ok(Self {
-            problem,
-            options,
-            engine,
-        })
-    }
-
     /// Solves one relaxation. `basis_hint` is the parent's final basis; the
-    /// hint is only meaningful against the shared skeleton, so fallback
-    /// paths ignore it and report [`WarmStart::Cold`].
+    /// hint is only meaningful against the shared skeleton, so the fallback
+    /// path ignores it and reports [`WarmStart::Cold`].
     fn solve_node(
         &mut self,
         lower: &[f64],
@@ -369,7 +246,7 @@ impl<'a> NodeSolver<'a> {
                     warm: WarmStart::Cold,
                 })
             }
-            EngineState::Dense {
+            EngineState::Revised {
                 skeleton,
                 workspace,
             } => {
@@ -383,111 +260,44 @@ impl<'a> NodeSolver<'a> {
                         max_iterations,
                     );
                 }
-                solve_fresh_skeleton(self.problem, lower, upper, max_iterations, {
-                    let mut ws = SimplexWorkspace::default();
-                    move |sk, lo, hi, it| solve_with_skeleton(sk, &mut ws, lo, hi, None, it)
-                })
+                // The rare node whose bounds change a variable's
+                // standard-form classification (e.g. branching on a
+                // variable the root fixed): solve it cold against a one-off
+                // skeleton. Its basis indices are meaningless against the
+                // shared layout, so they are stripped before children can
+                // inherit them as hints.
+                let fresh = StandardFormSkeleton::new(self.problem, lower, upper)?;
+                let mut ws = RevisedWorkspace::default();
+                let mut r =
+                    solve_with_skeleton(&fresh, &mut ws, lower, upper, None, max_iterations)?;
+                r.basis = Vec::new();
+                Ok(r)
             }
-            EngineState::Revised {
-                skeleton,
-                workspace,
-            } => {
-                if skeleton.compatible(lower, upper) {
-                    return solve_with_skeleton_revised(
-                        skeleton,
-                        workspace,
-                        lower,
-                        upper,
-                        hint,
-                        max_iterations,
-                    );
+        }
+    }
+
+    /// The work counters of this solve's engine (all zero for the seed
+    /// engine): warm-start outcomes, factorizations and pivot kinds.
+    fn work_stats(&self) -> SolveStats {
+        match &self.engine {
+            EngineState::Seed => SolveStats::default(),
+            EngineState::Revised { workspace, .. } => {
+                let (warm_start_hits, warm_start_misses) = workspace.warm_start_counts();
+                let (basis_factorizations, basis_refactorizations) =
+                    workspace.factorization_counts();
+                let (bound_flips, ft_updates) = workspace.pivot_counts();
+                SolveStats {
+                    warm_start_hits,
+                    warm_start_misses,
+                    basis_factorizations,
+                    basis_refactorizations,
+                    bound_flips,
+                    ft_updates,
+                    ..SolveStats::default()
                 }
-                solve_fresh_skeleton_with(
-                    self.problem,
-                    lower,
-                    upper,
-                    max_iterations,
-                    self.options.bounded_variables,
-                    {
-                        let mut ws = RevisedWorkspace::default();
-                        ws.configure(self.options.forrest_tomlin, self.options.dual_steepest_edge);
-                        move |sk, lo, hi, it| {
-                            solve_with_skeleton_revised(sk, &mut ws, lo, hi, None, it)
-                        }
-                    },
-                )
             }
         }
     }
-
-    /// Cumulative `(hits, misses)` of warm-start attempts by this tree's
-    /// engine (always `(0, 0)` for the seed engine).
-    fn warm_start_counts(&self) -> (usize, usize) {
-        match &self.engine {
-            EngineState::Seed => (0, 0),
-            EngineState::Dense { workspace, .. } => workspace.warm_start_counts(),
-            EngineState::Revised { workspace, .. } => workspace.warm_start_counts(),
-        }
-    }
-
-    /// Cumulative `(factorizations, refactorizations)` of the revised
-    /// engine's basis ( `(0, 0)` for the tableau engines).
-    fn factorization_counts(&self) -> (usize, usize) {
-        match &self.engine {
-            EngineState::Revised { workspace, .. } => workspace.factorization_counts(),
-            _ => (0, 0),
-        }
-    }
-
-    /// Cumulative `(bound_flips, ft_updates)` of the revised engine's
-    /// bounded-variable ratio test and Forrest–Tomlin updates (`(0, 0)` for
-    /// the tableau engines and when the flags are off).
-    fn pivot_counts(&self) -> (usize, usize) {
-        match &self.engine {
-            EngineState::Revised { workspace, .. } => workspace.pivot_counts(),
-            _ => (0, 0),
-        }
-    }
-}
-
-/// Fallback for the rare node whose bounds change a variable's standard-form
-/// classification (e.g. branching on a variable that the root fixed): build
-/// a one-off skeleton and solve it cold with a fresh workspace. The basis
-/// indices of such a solve are meaningless against the shared skeleton's
-/// layout, so they are stripped before children can inherit them as hints.
-fn solve_fresh_skeleton(
-    problem: &Problem,
-    lower: &[f64],
-    upper: &[f64],
-    max_iterations: usize,
-    solve: impl FnMut(&StandardFormSkeleton, &[f64], &[f64], usize) -> Result<SimplexResult, LpError>,
-) -> Result<SimplexResult, LpError> {
-    solve_fresh_skeleton_with(problem, lower, upper, max_iterations, false, solve)
-}
-
-/// [`solve_fresh_skeleton`] with an explicit skeleton mode (the revised
-/// engine keeps bounded-variable nodes bounded even on the fallback path).
-fn solve_fresh_skeleton_with(
-    problem: &Problem,
-    lower: &[f64],
-    upper: &[f64],
-    max_iterations: usize,
-    bounded: bool,
-    mut solve: impl FnMut(
-        &StandardFormSkeleton,
-        &[f64],
-        &[f64],
-        usize,
-    ) -> Result<SimplexResult, LpError>,
-) -> Result<SimplexResult, LpError> {
-    let fresh = if bounded {
-        StandardFormSkeleton::new_bounded(problem, lower, upper)?
-    } else {
-        StandardFormSkeleton::new(problem, lower, upper)?
-    };
-    let mut r = solve(&fresh, lower, upper, max_iterations)?;
-    r.basis = Vec::new();
-    Ok(r)
 }
 
 /// A pending search node: bound overrides plus the parent relaxation bound
@@ -530,26 +340,24 @@ impl Ord for HeapEntry {
     }
 }
 
-struct BranchAndBound<'a> {
+struct BranchAndBound<'a, 's> {
     problem: &'a Problem,
     options: &'a SolveOptions,
     start: Instant,
     sense_factor: f64,
-    node_solver: NodeSolver<'a>,
+    node_solver: &'s mut NodeSolver<'a>,
     incumbent: Option<(f64, Vec<f64>)>,
     best_bound: f64,
     nodes_explored: usize,
     simplex_iterations: usize,
-    warm_start_hits: usize,
-    warm_start_misses: usize,
 }
 
-impl<'a> BranchAndBound<'a> {
+impl<'a, 's> BranchAndBound<'a, 's> {
     fn new(
         problem: &'a Problem,
         options: &'a SolveOptions,
         start: Instant,
-        node_solver: NodeSolver<'a>,
+        node_solver: &'s mut NodeSolver<'a>,
     ) -> Self {
         let sense_factor = match problem.sense() {
             Sense::Minimize => 1.0,
@@ -565,8 +373,6 @@ impl<'a> BranchAndBound<'a> {
             best_bound: f64::NEG_INFINITY,
             nodes_explored: 0,
             simplex_iterations: 0,
-            warm_start_hits: 0,
-            warm_start_misses: 0,
         }
     }
 
@@ -575,12 +381,9 @@ impl<'a> BranchAndBound<'a> {
         objective * self.sense_factor
     }
 
-    fn run(
-        &mut self,
-        root_lower: Vec<f64>,
-        root_upper: Vec<f64>,
-        root_basis: Option<Rc<Vec<usize>>>,
-    ) -> Result<Solution, LpError> {
+    /// Runs the search. The root carries no basis hint, so it is solved
+    /// from the canonical cold start.
+    fn run(&mut self, root_lower: Vec<f64>, root_upper: Vec<f64>) -> Result<Solution, LpError> {
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         heap.push(HeapEntry {
             order: f64::NEG_INFINITY,
@@ -589,7 +392,7 @@ impl<'a> BranchAndBound<'a> {
                 upper: root_upper,
                 bound: f64::NEG_INFINITY,
                 depth: 0,
-                basis: root_basis,
+                basis: None,
             },
         });
 
@@ -671,12 +474,6 @@ impl<'a> BranchAndBound<'a> {
             }
         }
 
-        let (hits, misses) = self.node_solver.warm_start_counts();
-        self.warm_start_hits = hits;
-        self.warm_start_misses = misses;
-        let (basis_factorizations, basis_refactorizations) =
-            self.node_solver.factorization_counts();
-
         let sense_factor = self.sense_factor;
         match self.incumbent.take() {
             Some((obj, values)) => {
@@ -688,18 +485,12 @@ impl<'a> BranchAndBound<'a> {
                 } else {
                     SolveStatus::Feasible
                 };
-                let (bound_flips, ft_updates) = self.node_solver.pivot_counts();
                 let stats = SolveStats {
                     simplex_iterations: self.simplex_iterations,
                     nodes_explored: self.nodes_explored,
                     solve_time: self.start.elapsed(),
                     relative_gap: gap,
-                    warm_start_hits: self.warm_start_hits,
-                    warm_start_misses: self.warm_start_misses,
-                    basis_factorizations,
-                    basis_refactorizations,
-                    bound_flips,
-                    ft_updates,
+                    ..self.node_solver.work_stats()
                 };
                 Ok(Solution::new(status, obj, values, stats))
             }
@@ -919,69 +710,99 @@ mod tests {
         assert_eq!(sol.stats().nodes_explored, 1);
     }
 
-    #[test]
-    fn solve_context_state_roundtrip_is_bitwise() {
-        let make = |cap: f64, c: [f64; 4]| {
-            let mut p = Problem::new("knapsack", Sense::Maximize);
-            let a = p.add_int_var("a", 0.0, 1.0);
-            let b = p.add_int_var("b", 0.0, 1.0);
-            let cc = p.add_int_var("c", 0.0, 1.0);
-            let d = p.add_int_var("d", 0.0, 1.0);
-            p.set_objective([(a, c[0]), (b, c[1]), (cc, c[2]), (d, c[3])]);
-            p.add_constraint(
-                "cap",
-                [(a, 5.0), (b, 7.0), (cc, 4.0), (d, 3.0)],
-                ConstraintOp::Le,
-                cap,
-            );
-            p
-        };
-        for (bounded, ft, dse) in [(false, false, false), (true, true, true)] {
-            let opts = SolveOptions {
-                relative_gap: 0.0,
-                bounded_variables: bounded,
-                forrest_tomlin: ft,
-                dual_steepest_edge: dse,
-                ..Default::default()
-            };
-            // Accumulate real warm-start state across two look-alike solves.
-            let mut live = SolveContext::new();
-            for (cap, c) in [(14.0, [8.0, 11.0, 6.0, 4.0]), (12.0, [7.0, 10.0, 6.5, 4.0])] {
-                solve_with_context(&make(cap, c), &opts, &mut live).unwrap();
+    /// Everything a solve reports except the wall-clock time, as bits.
+    fn fingerprint(r: &Result<Solution, LpError>) -> String {
+        match r {
+            Ok(sol) => {
+                let stats = SolveStats {
+                    solve_time: Default::default(),
+                    ..*sol.stats()
+                };
+                let values: Vec<u64> = sol.values().iter().map(|v| v.to_bits()).collect();
+                format!(
+                    "{:?} {} {values:?} {stats:?}",
+                    sol.status(),
+                    sol.objective().to_bits()
+                )
             }
-            let blob = live.export_state();
-            let mut restored = SolveContext::import_state(&blob).unwrap();
-            assert_eq!(restored.reuse_counts(), live.reuse_counts());
-            assert_eq!(restored.warm_start_counts(), live.warm_start_counts());
-
-            // The next solve must take the identical path in both contexts.
-            let next = make(13.0, [8.5, 11.0, 5.5, 4.25]);
-            let sa = solve_with_context(&next, &opts, &mut live).unwrap();
-            let sb = solve_with_context(&next, &opts, &mut restored).unwrap();
-            assert_eq!(sa.objective().to_bits(), sb.objective().to_bits());
-            assert_eq!(sa.stats().nodes_explored, sb.stats().nodes_explored);
-            assert_eq!(live.reuse_counts(), restored.reuse_counts());
-            assert_eq!(live.warm_start_counts(), restored.warm_start_counts());
-            // Strongest check: the post-solve states re-export to the exact
-            // same bytes — every float in the factorization agrees.
-            assert_eq!(live.export_state(), restored.export_state());
+            Err(e) => format!("{e:?}"),
         }
     }
 
+    fn knapsack(cap: f64, c: [f64; 4]) -> Problem {
+        let mut p = Problem::new("knapsack", Sense::Maximize);
+        let a = p.add_int_var("a", 0.0, 1.0);
+        let b = p.add_int_var("b", 0.0, 1.0);
+        let cc = p.add_int_var("c", 0.0, 1.0);
+        let d = p.add_int_var("d", 0.0, 1.0);
+        p.set_objective([(a, c[0]), (b, c[1]), (cc, c[2]), (d, c[3])]);
+        p.add_constraint(
+            "cap",
+            [(a, 5.0), (b, 7.0), (cc, 4.0), (d, 3.0)],
+            ConstraintOp::Le,
+            cap,
+        );
+        p
+    }
+
     #[test]
-    fn import_state_rejects_corrupt_blobs() {
-        assert!(SolveContext::import_state("zz").is_err());
-        assert!(SolveContext::import_state("0bad").is_err());
+    fn context_solves_match_fresh_solves_bitwise() {
+        let opts = SolveOptions {
+            relative_gap: 0.0,
+            ..Default::default()
+        };
+        // Look-alikes that rebind one skeleton, then a repeated branchy
+        // MIP whose stats (warm starts, factorizations) must describe each
+        // solve alone rather than accumulate over the context's lifetime.
+        let stream = [
+            knapsack(14.0, [8.0, 11.0, 6.0, 4.0]),
+            knapsack(12.0, [7.0, 10.0, 6.5, 4.0]),
+            knapsack(13.0, [8.5, 11.0, 5.5, 4.25]),
+            knapsack(14.0, [8.0, 11.0, 6.0, 4.0]),
+            branchy_problem(),
+            branchy_problem(),
+        ];
         let mut ctx = SolveContext::new();
-        let mut p = Problem::new("lp", Sense::Maximize);
-        let x = p.add_var("x", 0.0, 4.0);
-        p.set_objective([(x, 1.0)]);
-        solve_with_context(&p, &SolveOptions::default(), &mut ctx).unwrap();
-        let blob = ctx.export_state();
-        // Truncation anywhere must error, never panic.
-        assert!(SolveContext::import_state(&blob[..blob.len() - 8]).is_err());
-        // Trailing garbage is detected by the exhaustion check.
-        assert!(SolveContext::import_state(&format!("{blob}00")).is_err());
+        for (i, p) in stream.iter().enumerate() {
+            // Interleaved warm probes leave the workspace in a different
+            // state before every solve; the solve must not notice.
+            ctx.relaxation_bound(p, 10_000).unwrap();
+            let shared = solve_with_context(p, &opts, &mut ctx);
+            assert_eq!(
+                fingerprint(&shared),
+                fingerprint(&solve(p, &opts)),
+                "solve {i}"
+            );
+        }
+        let stats = *solve(&branchy_problem(), &opts).unwrap().stats();
+        assert!(stats.warm_start_hits > 0 && stats.basis_factorizations > 0);
+        // One rebuild per layout; every other call rebound the skeleton.
+        assert_eq!(ctx.reuse_counts(), (2 * stream.len() - 2, 2));
+    }
+
+    #[test]
+    fn box_only_problems_need_no_rows() {
+        // No constraint rows at all: every column settles at a bound.
+        let mut lp = Problem::new("box-lp", Sense::Maximize);
+        let x = lp.add_var("x", 0.0, 4.0);
+        let y = lp.add_var("y", -2.0, 3.0);
+        lp.set_objective([(x, 1.0), (y, -1.0)]);
+        let sol = lp.solve().unwrap();
+        assert_eq!((sol.value(x), sol.value(y)), (4.0, -2.0));
+        assert_eq!(sol.objective(), 6.0);
+
+        let mut mip = Problem::new("box-mip", Sense::Minimize);
+        let n = mip.add_int_var("n", 1.0, 7.0);
+        let z = mip.add_semicontinuous_var("z", 2.0, 5.0);
+        mip.set_objective([(n, -1.5), (z, 1.0)]);
+        let sol = mip.solve().unwrap();
+        assert_eq!((sol.value(n), sol.value(z)), (7.0, 0.0));
+
+        // An unbounded improving direction is still reported.
+        let mut unb = Problem::new("box-unb", Sense::Maximize);
+        let u = unb.add_var("u", 0.0, f64::INFINITY);
+        unb.set_objective([(u, 1.0)]);
+        assert!(matches!(unb.solve(), Err(LpError::Unbounded)));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! * **semi-continuous** variables (the Map→Reduce phase barrier of §4.3),
 //! * linear constraints (`<=`, `>=`, `=`),
 //! * linear objectives (minimize or maximize),
-//! * three selectable LP-relaxation engines — the preserved seed tableau,
-//!   a flat dense tableau, and the default **sparse revised simplex** with
-//!   an LU-factorized basis (see [`problem::Engine`]) — and
+//! * one production LP-relaxation engine, a **sparse revised simplex** with
+//!   an LU-factorized basis, Forrest–Tomlin updates, implicit upper bounds
+//!   and dual steepest-edge warm-start repair, next to the preserved seed
+//!   tableau kept as a frozen oracle (see [`problem::Engine`]) — and
 //! * branch & bound with a relative gap tolerance, node limit and wall-clock
 //!   time limit (mirroring the paper's "bound the solving time to three
 //!   minutes and use the best solution computed so far", §4.8).
@@ -34,7 +35,6 @@
 //! ```
 
 pub mod branch_bound;
-pub mod dense;
 pub mod error;
 pub mod expr;
 pub mod lu;
@@ -44,13 +44,11 @@ pub mod seed_baseline;
 pub mod simplex;
 pub mod solution;
 pub mod sparse;
-pub mod state;
 
 pub use branch_bound::SolveContext;
 pub use error::LpError;
 pub use expr::{LinExpr, VarId};
 pub use problem::{ConstraintOp, Engine, Problem, Sense, SolveOptions, VarKind};
 pub use revised::RevisedWorkspace;
-pub use simplex::{SimplexWorkspace, StandardFormSkeleton, WarmStart};
+pub use simplex::{StandardFormSkeleton, WarmStart};
 pub use solution::{Solution, SolveStats, SolveStatus};
-pub use state::StateError;

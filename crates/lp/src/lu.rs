@@ -1,59 +1,46 @@
-//! Sparse LU factorization of the simplex basis with two pivot-update
-//! schemes: product-form (eta-file) updates and Forrest–Tomlin updates.
+//! Sparse LU factorization of the simplex basis with Forrest–Tomlin
+//! updates.
 //!
 //! The revised simplex engine never forms `B⁻¹` explicitly. Instead it keeps
 //!
 //! * a left-looking sparse **LU factorization** `B₀ = L·U` (with partial
 //!   pivoting, rows permuted implicitly through `prow`), refreshed by
 //!   [`BasisFactorization::refactorize`], and
-//! * one of two update schemes applied at each basis change:
-//!   - **eta file** (legacy, default): the new basis is `B₀·E₁·…·E_k` where
-//!     each `Eₖ` is the identity except for one column (the FTRAN'd entering
-//!     column). Applying `Eₖ⁻¹` costs O(nnz of the pivot column) — and that
-//!     cost is paid by *every* FTRAN/BTRAN, so solve cost grows linearly
-//!     with the eta file until the [`eta_limit`] refactorization.
-//!   - **Forrest–Tomlin** ([`BasisFactorization::set_ft_mode`]): the `U`
-//!     factor itself is updated in place. The spike `v = R_s⋯R₁·L⁻¹·a_q`
-//!     replaces column `r` of `U`, the replaced position moves to the end of
-//!     a *logical* column/row order, and the now below-diagonal old row `r`
-//!     is eliminated with row operations `Rₛ₊₁ = I − e_r·mᵀ` (multipliers
-//!     `m_j = u_rj/u_jj` in ascending logical order) recorded as one sparse
-//!     row eta. `U` stays triangular (under the logical order) and sparse,
-//!     so FTRAN/BTRAN cost stays flat between refactorizations and the
-//!     refactor interval stretches ([`ft_update_limit`]).
+//! * a **Forrest–Tomlin update** at each basis change: the `U` factor is
+//!   updated in place. The spike `v = R_s⋯R₁·L⁻¹·a_q` replaces column `r`
+//!   of `U`, the replaced position moves to the end of a *logical*
+//!   column/row order, and the now below-diagonal old row `r` is eliminated
+//!   with row operations `Rₛ₊₁ = I − e_r·mᵀ` (multipliers `m_j = u_rj/u_jj`
+//!   in ascending logical order) recorded as one sparse row eta. `U` stays
+//!   triangular (under the logical order) and sparse, so FTRAN/BTRAN cost
+//!   stays flat between refactorizations.
 //!
 //! FTRAN (`B⁻¹·b`, entering-column transform / RHS re-derivation) and BTRAN
 //! (`B⁻ᵀ·c`, pricing / dual row extraction) both run in O(nnz(L)+nnz(U)+
-//! Σ nnz(updates)). When the update file grows past its limit — or a drift
-//! check fails — the factorization is rebuilt from the basis columns, which
-//! bounds both fill-in and accumulated floating-point error. This replaces
-//! the dense engine's blind `REUSE_REFRESH` cold-refill ceiling with an
-//! explicit, observable refresh policy (counts surface in `SolveStats`).
+//! Σ nnz(row etas)). When the update count reaches [`update_limit`] — or a
+//! drift check fails — the factorization is rebuilt from the basis columns,
+//! which bounds both fill-in and accumulated floating-point error. The
+//! refresh policy is explicit and observable (counts surface in
+//! `SolveStats`).
 
 use crate::sparse::CscMatrix;
 
-/// Largest admissible eta-file length before a refactorization is forced:
-/// long products both slow the solves down and accumulate rounding error.
-/// Scales with √m — the break-even between the O(m²+fill) refactorization
-/// (amortized over the interval) and the O(nnz(w)) ≈ O(m) cost every
-/// FTRAN/BTRAN pays per eta.
-pub fn eta_limit(m: usize) -> usize {
-    12 + (m as f64).sqrt() as usize
-}
-
-/// Update-count ceiling in Forrest–Tomlin mode. An FT update appends one
-/// *row* eta (a handful of multipliers) instead of a full transformed
-/// column, so per-solve cost grows with the *fill* the spike columns add
-/// to `U` rather than with the raw update count, and the refactorization
-/// interval stretches. Measured on the fig16 models the spike fill makes
-/// intervals beyond ~2× the eta limit a net loss, so the stretch is kept
-/// moderate.
-pub fn ft_update_limit(m: usize) -> usize {
-    2 * eta_limit(m)
+/// Update count at which a refactorization is forced. Scales with √m — the
+/// break-even between the O(m²+fill) refactorization (amortized over the
+/// interval) and the per-update cost every FTRAN/BTRAN pays. An update
+/// appends one *row* eta (a handful of multipliers), so that cost grows
+/// with the fill the spike columns add to `U`; measured on the fig16
+/// models, longer intervals are a net loss.
+pub fn update_limit(m: usize) -> usize {
+    2 * (12 + (m as f64).sqrt() as usize)
 }
 
 /// Pivot magnitude below which the basis is declared numerically singular.
 const SINGULAR_TOL: f64 = 1e-10;
+/// Largest relative disagreement between a Forrest–Tomlin update's new
+/// diagonal and the one the pivot element predicts before the update is
+/// refused as inaccurate.
+const UPDATE_ACCURACY_TOL: f64 = 1e-6;
 /// Entries below this magnitude are dropped during elimination (relative to
 /// unit-scaled model coefficients); keeps cancellation noise out of the fill.
 const DROP_TOL: f64 = 1e-13;
@@ -207,20 +194,6 @@ impl LuFactors {
         z.extend((0..m).map(|k| x[self.prow[k]]));
     }
 
-    /// Backward solve `U·y = z` in place, column-oriented, natural step order
-    /// (valid while `U` is untouched by Forrest–Tomlin updates).
-    fn ftran_u(&self, z: &mut [f64]) {
-        for k in (0..self.m).rev() {
-            let yk = z[k] / self.u_diag[k];
-            z[k] = yk;
-            if yk != 0.0 {
-                for &(j, v) in &self.u_cols[k] {
-                    z[j] -= v * yk;
-                }
-            }
-        }
-    }
-
     /// Backward solve `U·y = z` under the Forrest–Tomlin *logical* column
     /// order (`order[t]` is the step occupying logical position `t`).
     fn ftran_u_logical(&self, z: &mut [f64], order: &[usize]) {
@@ -232,28 +205,6 @@ impl LuFactors {
                     z[j] -= v * yk;
                 }
             }
-        }
-    }
-
-    /// `x ← B₀⁻¹·x`; input in original row space, output in step (= basis
-    /// position) space. `z` is caller-provided scratch.
-    fn ftran(&self, x: &mut [f64], z: &mut Vec<f64>) {
-        self.ftran_l(x, z);
-        self.ftran_u(z);
-        x[..self.m].copy_from_slice(z);
-    }
-
-    /// Forward solve `Uᵀ·w = x` into `z` (step space), natural step order.
-    fn btran_u(&self, x: &[f64], z: &mut Vec<f64>) {
-        let m = self.m;
-        z.clear();
-        z.resize(m, 0.0);
-        for k in 0..m {
-            let mut s = x[k];
-            for &(j, v) in &self.u_cols[k] {
-                s -= v * z[j];
-            }
-            z[k] = s / self.u_diag[k];
         }
     }
 
@@ -282,44 +233,6 @@ impl LuFactors {
             }
             x[self.prow[k]] = s;
         }
-    }
-
-    /// `x ← B₀⁻ᵀ·x`; input in step space, output in original row space.
-    fn btran(&self, x: &mut [f64], z: &mut Vec<f64>) {
-        self.btran_u(x, z);
-        self.btran_l(z, x);
-    }
-}
-
-/// One product-form update: the basis column at position `r` was replaced,
-/// and `w = B_old⁻¹·a_entering` (basis-position space) is the eta column.
-#[derive(Debug, Clone)]
-struct Eta {
-    r: usize,
-    wr: f64,
-    /// Entries of `w` other than position `r`.
-    nz: Vec<(usize, f64)>,
-}
-
-impl Eta {
-    #[inline]
-    fn ftran(&self, x: &mut [f64]) {
-        let xr = x[self.r] / self.wr;
-        if xr != 0.0 {
-            for &(i, w) in &self.nz {
-                x[i] -= w * xr;
-            }
-        }
-        x[self.r] = xr;
-    }
-
-    #[inline]
-    fn btran(&self, x: &mut [f64]) {
-        let mut s = x[self.r];
-        for &(i, w) in &self.nz {
-            s -= w * x[i];
-        }
-        x[self.r] = s / self.wr;
     }
 }
 
@@ -355,18 +268,14 @@ impl RowEta {
     }
 }
 
-/// The live factorized basis plus refresh bookkeeping. In eta mode the basis
-/// is `B = B₀·E₁·…·E_k`; in Forrest–Tomlin mode it is
+/// The live factorized basis plus refresh bookkeeping: the basis is
 /// `B = L·R₁⁻¹·…·R_s⁻¹·U` with `U` updated in place.
 #[derive(Debug, Clone, Default)]
 pub struct BasisFactorization {
     lu: LuFactors,
     /// Staging area so a failed refactorization never corrupts the live
-    /// factors (the old LU + eta file still represent the current basis).
+    /// factors (the old LU + updates still represent the current basis).
     lu_next: LuFactors,
-    etas: Vec<Eta>,
-    // --- Forrest–Tomlin state (live only when `ft_mode`) ---
-    ft_mode: bool,
     /// Row-wise mirror of `lu.u_cols`: `u_rows[j]` lists `(step k, u_jk)`
     /// for the strictly-right-of-diagonal entries of row `j` (in the
     /// logical order). Needed by the update's row elimination; the solves
@@ -377,31 +286,32 @@ pub struct BasisFactorization {
     order: Vec<usize>,
     /// Inverse of `order`: `pos[order[t]] == t`.
     pos: Vec<usize>,
-    ft_etas: Vec<RowEta>,
-    /// Spike scratch for [`Self::ft_update`].
-    ft_scratch: Vec<f64>,
-    /// Updates applied since the last refactorization (FT mode's analogue
-    /// of the eta count; compared against [`ft_update_limit`]).
-    ft_since_refactor: usize,
+    row_etas: Vec<RowEta>,
+    /// Spike of the last [`Self::ftran_entering`], consumed by
+    /// [`Self::update`].
+    spike: Vec<f64>,
+    /// Updates applied since the last refactorization (compared against
+    /// [`update_limit`]).
+    since_refactor: usize,
     // Scratch buffers (retained across calls).
     solve_scratch: Vec<f64>,
     work: Vec<f64>,
     in_work: Vec<bool>,
     touched: Vec<usize>,
     heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>>,
-    /// Lifetime LU factorizations through this handle.
+    /// LU factorizations through this handle.
     pub factorizations: usize,
-    /// Factorizations triggered *mid-stream* by the eta limit or a drift
+    /// Factorizations triggered *mid-stream* by the update limit or a drift
     /// check (a subset of `factorizations`; the rest are cold-start builds).
     pub refactorizations: usize,
-    /// Lifetime Forrest–Tomlin updates applied through this handle.
+    /// Forrest–Tomlin updates applied through this handle.
     pub ft_updates: usize,
 }
 
 impl BasisFactorization {
-    /// Factorizes `B = A[:, basis]` from scratch and clears the eta file.
-    /// `refresh` marks eta-limit/drift-triggered rebuilds for the stats.
-    /// On failure the previous factorization (if any) remains usable.
+    /// Factorizes `B = A[:, basis]` from scratch and drops every update.
+    /// `refresh` marks limit/drift-triggered rebuilds for the stats. On
+    /// failure the previous factorization (if any) remains usable.
     pub fn refactorize(
         &mut self,
         a: &CscMatrix,
@@ -424,45 +334,7 @@ impl BasisFactorization {
             let unnz: usize = self.lu.u_cols.iter().map(Vec::len).sum();
             eprintln!("LU m={} nnzA={} nnzL={} nnzU={}", m, a.nnz(), lnnz, unnz);
         }
-        self.etas.clear();
-        if self.ft_mode {
-            self.rebuild_ft_aux();
-        }
-        self.factorizations += 1;
-        if refresh {
-            self.refactorizations += 1;
-        }
-        Ok(())
-    }
-
-    /// Selects the pivot-update scheme: `true` for Forrest–Tomlin, `false`
-    /// (the default) for the product-form eta file. Switching discards any
-    /// pending updates, so the caller must refactorize before the next
-    /// solve; the revised engine switches only on its cold `fill` path,
-    /// which refactorizes unconditionally.
-    pub fn set_ft_mode(&mut self, on: bool) {
-        if self.ft_mode == on {
-            return;
-        }
-        self.ft_mode = on;
-        self.etas.clear();
-        self.ft_etas.clear();
-        self.ft_since_refactor = 0;
-        if on && self.lu.m > 0 {
-            self.rebuild_ft_aux();
-        }
-    }
-
-    /// `true` when Forrest–Tomlin updates are active.
-    #[inline]
-    pub fn ft_mode(&self) -> bool {
-        self.ft_mode
-    }
-
-    /// Rebuilds the FT auxiliary state (row-wise `U`, logical order) from a
-    /// freshly factorized `lu`.
-    fn rebuild_ft_aux(&mut self) {
-        let m = self.lu.m;
+        // Row-wise U and the identity logical order for the fresh factors.
         self.u_rows.iter_mut().for_each(Vec::clear);
         self.u_rows.resize(m, Vec::new());
         for (k, col) in self.lu.u_cols.iter().enumerate().take(m) {
@@ -474,80 +346,35 @@ impl BasisFactorization {
         self.order.extend(0..m);
         self.pos.clear();
         self.pos.extend(0..m);
-        self.ft_etas.clear();
-        self.ft_since_refactor = 0;
+        self.row_etas.clear();
+        self.since_refactor = 0;
+        self.factorizations += 1;
+        if refresh {
+            self.refactorizations += 1;
+        }
+        Ok(())
     }
 
-    /// Number of pivot updates since the last refactorization (eta-file
-    /// length in eta mode, FT update count in FT mode). Compare against
-    /// [`eta_limit`] / [`ft_update_limit`] respectively.
+    /// Number of updates since the last refactorization; compare against
+    /// [`update_limit`].
     #[inline]
-    pub fn eta_count(&self) -> usize {
-        if self.ft_mode {
-            self.ft_since_refactor
-        } else {
-            self.etas.len()
-        }
+    pub fn update_count(&self) -> usize {
+        self.since_refactor
     }
 
-    /// Update-count ceiling for the active scheme before the caller should
-    /// refactorize.
-    #[inline]
-    pub fn update_limit(&self, m: usize) -> usize {
-        if self.ft_mode {
-            ft_update_limit(m)
-        } else {
-            eta_limit(m)
-        }
-    }
-
-    /// Records the basis change at position `r` with `w = B_old⁻¹·a_entering`
-    /// under the active update scheme. The product form cannot fail; a
-    /// Forrest–Tomlin update fails (leaving the *old* factors intact) when
-    /// the new diagonal is numerically zero, in which case the caller must
-    /// refactorize from the updated basis columns.
-    pub fn update(&mut self, r: usize, w: &[f64]) -> Result<(), Singular> {
-        if self.ft_mode {
-            self.ft_update(r, w)
-        } else {
-            self.push_eta(r, w);
-            Ok(())
-        }
-    }
-
-    /// Records the pivot `(position r, w = B⁻¹·a_entering)` as an eta.
-    /// `w[r]` must be safely away from zero (the caller's ratio test
-    /// guarantees it).
-    pub fn push_eta(&mut self, r: usize, w: &[f64]) {
-        let nz = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.etas.push(Eta { r, wr: w[r], nz });
-    }
-
-    /// Forrest–Tomlin update: replaces column `r` of `U` with the spike
-    /// `v = U·w` (undoing `w`'s U-solve recovers `R_s⋯R₁·L⁻¹·a_entering`),
-    /// moves position `r` to the end of the logical order, and eliminates
-    /// the old row `r` with one recorded row eta. All mutation happens after
-    /// the new-diagonal stability check, so a rejected update leaves the
+    /// Records the basis change at position `r` as a Forrest–Tomlin update.
+    /// The entering column must have gone through
+    /// [`ftran_entering`](Self::ftran_entering) since the last basis change:
+    /// its spike `v = R_s⋯R₁·L⁻¹·a_entering` replaces column `r` of `U`,
+    /// position `r` moves to the end of the logical order, and the old row
+    /// `r` is eliminated with one recorded row eta. All mutation happens
+    /// after the new-diagonal stability check, so a rejected update
+    /// (numerically zero new diagonal, or one that disagrees with the
+    /// pivot element `w_r` of the FTRAN'd entering column) leaves the
     /// factors representing the *old* basis.
-    fn ft_update(&mut self, r: usize, w: &[f64]) -> Result<(), Singular> {
+    pub fn update(&mut self, r: usize, w_r: f64) -> Result<(), Singular> {
         let m = self.lu.m;
-        // Spike v = U·w in step space.
-        let v = &mut self.ft_scratch;
-        v.clear();
-        v.resize(m, 0.0);
-        for (k, &wk) in w.iter().take(m).enumerate() {
-            if wk != 0.0 {
-                v[k] += self.lu.u_diag[k] * wk;
-                for &(j, u) in &self.lu.u_cols[k] {
-                    v[j] += u * wk;
-                }
-            }
-        }
+        let v = &self.spike;
         // Eliminate the old row r against the rows logically after it,
         // accumulating fill in `work` and draining positions in ascending
         // logical order (same heap discipline as `factorize`).
@@ -588,7 +415,14 @@ impl BasisFactorization {
                 }
             }
         }
-        if d.abs() <= SINGULAR_TOL {
+        // In exact arithmetic the new diagonal is `w_r·u_rr` (the basis
+        // determinant scales by `w_r`, and `L` and the row etas are unit
+        // triangular). A computed `d` far from that means the factors have
+        // lost accuracy; refuse the update so the caller refactorizes.
+        let expected = w_r * self.lu.u_diag[r];
+        if d.abs() <= SINGULAR_TOL
+            || (d - expected).abs() > UPDATE_ACCURACY_TOL * d.abs().max(expected.abs())
+        {
             return Err(Singular { step: r });
         }
         // Commit. Remove the old column r from the row lists…
@@ -620,153 +454,48 @@ impl BasisFactorization {
             self.pos[k] = t;
         }
         if !eta_nz.is_empty() {
-            self.ft_etas.push(RowEta { r, nz: eta_nz });
+            self.row_etas.push(RowEta { r, nz: eta_nz });
         }
         self.ft_updates += 1;
-        self.ft_since_refactor += 1;
+        self.since_refactor += 1;
         Ok(())
     }
 
     /// `x ← B⁻¹·x` (row space in, basis-position space out).
     pub fn ftran(&mut self, x: &mut [f64]) {
-        if self.ft_mode {
-            self.lu.ftran_l(x, &mut self.solve_scratch);
-            for e in &self.ft_etas {
-                e.ftran(&mut self.solve_scratch);
-            }
-            self.lu
-                .ftran_u_logical(&mut self.solve_scratch, &self.order);
-            x[..self.lu.m].copy_from_slice(&self.solve_scratch);
-        } else {
-            self.lu.ftran(x, &mut self.solve_scratch);
-            for e in &self.etas {
-                e.ftran(x);
-            }
+        self.ftran_with(x, false);
+    }
+
+    /// [`ftran`](Self::ftran) for a column about to enter the basis: also
+    /// keeps its spike (the transform before the `U` solve) for the
+    /// [`update`](Self::update) that follows. Taking the spike from the
+    /// solve, rather than multiplying `U` back into the result, keeps the
+    /// update exact however ill-conditioned `U` has become.
+    pub fn ftran_entering(&mut self, x: &mut [f64]) {
+        self.ftran_with(x, true);
+    }
+
+    fn ftran_with(&mut self, x: &mut [f64], keep_spike: bool) {
+        self.lu.ftran_l(x, &mut self.solve_scratch);
+        for e in &self.row_etas {
+            e.ftran(&mut self.solve_scratch);
         }
+        if keep_spike {
+            self.spike.clone_from(&self.solve_scratch);
+        }
+        self.lu
+            .ftran_u_logical(&mut self.solve_scratch, &self.order);
+        x[..self.lu.m].copy_from_slice(&self.solve_scratch);
     }
 
     /// `x ← B⁻ᵀ·x` (basis-position space in, row space out).
     pub fn btran(&mut self, x: &mut [f64]) {
-        if self.ft_mode {
-            self.lu
-                .btran_u_logical(x, &mut self.solve_scratch, &self.order);
-            for e in self.ft_etas.iter().rev() {
-                e.btran(&mut self.solve_scratch);
-            }
-            self.lu.btran_l(&self.solve_scratch, x);
-        } else {
-            for e in self.etas.iter().rev() {
-                e.btran(x);
-            }
-            self.lu.btran(x, &mut self.solve_scratch);
+        self.lu
+            .btran_u_logical(x, &mut self.solve_scratch, &self.order);
+        for e in self.row_etas.iter().rev() {
+            e.btran(&mut self.solve_scratch);
         }
-    }
-}
-
-// --- Checkpoint codec -------------------------------------------------------
-//
-// The factor content is the accumulated result of the exact pivot sequence:
-// refactorizing the same basis from scratch lands on bitwise-different
-// floats, so a resumed run must carry these bytes verbatim. `lu_next` and
-// `heap` are staging/scratch fully reinitialized at the start of every use
-// and restore empty; the solve scratch vectors are tiny and travel anyway so
-// a restored handle is indistinguishable field-for-field.
-
-use crate::state::{Reader, StateError, Writer};
-
-impl LuFactors {
-    fn encode_state(&self, w: &mut Writer) {
-        w.usize(self.m);
-        w.seq(&self.l_cols, |w, col| w.vec_idx_f64(col));
-        w.seq(&self.u_cols, |w, col| w.vec_idx_f64(col));
-        w.vec_f64(&self.u_diag);
-        w.vec_usize(&self.prow);
-        w.vec_usize(&self.step_of_row);
-    }
-
-    fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
-        Ok(Self {
-            m: r.usize()?,
-            l_cols: r.seq(|r| r.vec_idx_f64())?,
-            u_cols: r.seq(|r| r.vec_idx_f64())?,
-            u_diag: r.vec_f64()?,
-            prow: r.vec_usize()?,
-            step_of_row: r.vec_usize()?,
-        })
-    }
-}
-
-impl Eta {
-    fn encode_state(&self, w: &mut Writer) {
-        w.usize(self.r);
-        w.f64(self.wr);
-        w.vec_idx_f64(&self.nz);
-    }
-
-    fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
-        Ok(Self {
-            r: r.usize()?,
-            wr: r.f64()?,
-            nz: r.vec_idx_f64()?,
-        })
-    }
-}
-
-impl RowEta {
-    fn encode_state(&self, w: &mut Writer) {
-        w.usize(self.r);
-        w.vec_idx_f64(&self.nz);
-    }
-
-    fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
-        Ok(Self {
-            r: r.usize()?,
-            nz: r.vec_idx_f64()?,
-        })
-    }
-}
-
-impl BasisFactorization {
-    pub(crate) fn encode_state(&self, w: &mut Writer) {
-        self.lu.encode_state(w);
-        w.seq(&self.etas, |w, e| e.encode_state(w));
-        w.bool(self.ft_mode);
-        w.seq(&self.u_rows, |w, row| w.vec_idx_f64(row));
-        w.vec_usize(&self.order);
-        w.vec_usize(&self.pos);
-        w.seq(&self.ft_etas, |w, e| e.encode_state(w));
-        w.vec_f64(&self.ft_scratch);
-        w.usize(self.ft_since_refactor);
-        w.vec_f64(&self.solve_scratch);
-        w.vec_f64(&self.work);
-        w.vec_bool(&self.in_work);
-        w.vec_usize(&self.touched);
-        w.usize(self.factorizations);
-        w.usize(self.refactorizations);
-        w.usize(self.ft_updates);
-    }
-
-    pub(crate) fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
-        Ok(Self {
-            lu: LuFactors::decode_state(r)?,
-            lu_next: LuFactors::default(),
-            etas: r.seq(Eta::decode_state)?,
-            ft_mode: r.bool()?,
-            u_rows: r.seq(|r| r.vec_idx_f64())?,
-            order: r.vec_usize()?,
-            pos: r.vec_usize()?,
-            ft_etas: r.seq(RowEta::decode_state)?,
-            ft_scratch: r.vec_f64()?,
-            ft_since_refactor: r.usize()?,
-            solve_scratch: r.vec_f64()?,
-            work: r.vec_f64()?,
-            in_work: r.vec_bool()?,
-            touched: r.vec_usize()?,
-            heap: std::collections::BinaryHeap::new(),
-            factorizations: r.usize()?,
-            refactorizations: r.usize()?,
-            ft_updates: r.usize()?,
-        })
+        self.lu.btran_l(&self.solve_scratch, x);
     }
 }
 
@@ -831,59 +560,10 @@ mod tests {
     }
 
     #[test]
-    fn eta_update_matches_refactorization() {
-        // Start from basis {0,1,2} of a 3x5 matrix, swap in column 3 at
-        // position 1 via an eta, and compare FTRAN/BTRAN results against a
-        // from-scratch factorization of the updated basis.
-        let a = matrix(
-            3,
-            5,
-            &[
-                (0, 0, 4.0),
-                (1, 1, 2.0),
-                (1, 2, 1.0),
-                (2, 2, 3.0),
-                (3, 0, 1.0),
-                (3, 1, 1.0),
-                (3, 2, 2.0),
-                (4, 0, 5.0),
-            ],
-        );
-        let mut bf = BasisFactorization::default();
-        bf.refactorize(&a, &[0, 1, 2], false).unwrap();
-        // w = B⁻¹ a_3.
-        let mut w = vec![0.0; 3];
-        a.scatter_col(3, &mut w);
-        bf.ftran(&mut w);
-        bf.push_eta(1, &w);
-        let updated_basis = [0usize, 3, 2];
-
-        let mut fresh = BasisFactorization::default();
-        fresh.refactorize(&a, &updated_basis, false).unwrap();
-
-        let b = [1.0, 2.0, 3.0];
-        let (mut x1, mut x2) = (b.to_vec(), b.to_vec());
-        bf.ftran(&mut x1);
-        fresh.ftran(&mut x2);
-        for (p, q) in x1.iter().zip(&x2) {
-            assert!((p - q).abs() < 1e-12, "{x1:?} vs {x2:?}");
-        }
-        let c = [0.5, -1.0, 2.0];
-        let (mut y1, mut y2) = (c.to_vec(), c.to_vec());
-        bf.btran(&mut y1);
-        fresh.btran(&mut y2);
-        for (p, q) in y1.iter().zip(&y2) {
-            assert!((p - q).abs() < 1e-12, "{y1:?} vs {y2:?}");
-        }
-        assert_eq!(bf.eta_count(), 1);
-        assert_eq!(fresh.eta_count(), 0);
-    }
-
-    #[test]
     fn ft_update_matches_refactorization() {
-        // Same scenario as `eta_update_matches_refactorization`, but with
-        // Forrest–Tomlin updates: swap column 3 into position 1 and compare
-        // FTRAN/BTRAN against a from-scratch factorization.
+        // Start from basis {0,1,2} of a 3x5 matrix, swap column 3 into
+        // position 1 with a Forrest–Tomlin update, and compare FTRAN/BTRAN
+        // against a from-scratch factorization of the updated basis.
         let a = matrix(
             3,
             5,
@@ -899,12 +579,11 @@ mod tests {
             ],
         );
         let mut bf = BasisFactorization::default();
-        bf.set_ft_mode(true);
         bf.refactorize(&a, &[0, 1, 2], false).unwrap();
         let mut w = vec![0.0; 3];
         a.scatter_col(3, &mut w);
-        bf.ftran(&mut w);
-        bf.update(1, &w).unwrap();
+        bf.ftran_entering(&mut w);
+        bf.update(1, w[1]).unwrap();
         let updated_basis = [0usize, 3, 2];
 
         let mut fresh = BasisFactorization::default();
@@ -925,7 +604,37 @@ mod tests {
             assert!((p - q).abs() < 1e-12, "{y1:?} vs {y2:?}");
         }
         assert_eq!(bf.ft_updates, 1);
-        assert_eq!(bf.eta_count(), 1);
+        assert_eq!(bf.update_count(), 1);
+        assert_eq!(fresh.update_count(), 0);
+    }
+
+    #[test]
+    fn ft_update_refuses_a_pivot_its_factors_disagree_with() {
+        // The FTRAN'd entering column fixes the new diagonal (`w_r·u_rr`);
+        // an update whose pivot element disagrees with it — the sign of
+        // factors that have lost accuracy — is refused untouched.
+        let a = matrix(
+            3,
+            5,
+            &[
+                (0, 0, 4.0),
+                (1, 1, 2.0),
+                (1, 2, 1.0),
+                (2, 2, 3.0),
+                (3, 0, 1.0),
+                (3, 1, 1.0),
+                (3, 2, 2.0),
+            ],
+        );
+        let mut bf = BasisFactorization::default();
+        bf.refactorize(&a, &[0, 1, 2], false).unwrap();
+        let mut w = vec![0.0; 3];
+        a.scatter_col(3, &mut w);
+        bf.ftran_entering(&mut w);
+        assert!(bf.update(1, 2.0 * w[1]).is_err());
+        assert_eq!((bf.ft_updates, bf.update_count()), (0, 0));
+        bf.update(1, w[1]).unwrap();
+        assert_eq!(bf.ft_updates, 1);
     }
 
     #[test]
@@ -954,14 +663,13 @@ mod tests {
             ],
         );
         let mut bf = BasisFactorization::default();
-        bf.set_ft_mode(true);
         let mut basis = vec![0usize, 1, 2, 3];
         bf.refactorize(&a, &basis, false).unwrap();
         for (step, &(pos, col)) in [(2usize, 4usize), (0, 5), (3, 0)].iter().enumerate() {
             let mut w = vec![0.0; 4];
             a.scatter_col(col, &mut w);
-            bf.ftran(&mut w);
-            bf.update(pos, &w).unwrap();
+            bf.ftran_entering(&mut w);
+            bf.update(pos, w[pos]).unwrap();
             basis[pos] = col;
 
             let mut fresh = BasisFactorization::default();
@@ -982,7 +690,7 @@ mod tests {
             }
         }
         assert_eq!(bf.ft_updates, 3);
-        assert_eq!(bf.eta_count(), 3);
+        assert_eq!(bf.update_count(), 3);
         assert_eq!(bf.factorizations, 1);
     }
 
@@ -1003,13 +711,12 @@ mod tests {
             ],
         );
         let mut bf = BasisFactorization::default();
-        bf.set_ft_mode(true);
         bf.refactorize(&a, &[0, 1], false).unwrap();
         // Column 2 equals column 0: basis {0, 2} is singular.
         let mut w = vec![0.0; 2];
         a.scatter_col(2, &mut w);
-        bf.ftran(&mut w);
-        assert!(bf.update(1, &w).is_err());
+        bf.ftran_entering(&mut w);
+        assert!(bf.update(1, w[1]).is_err());
         // Old factors still solve the old basis.
         let mut x = vec![3.0, 4.0];
         bf.ftran(&mut x);

@@ -72,26 +72,24 @@ pub struct Constraint {
 
 /// Which LP-relaxation engine backs the solve.
 ///
-/// All three engines accept the same problems and agree on statuses and
+/// Both engines accept the same problems and agree on statuses and
 /// objectives (the cross-engine equivalence battery in `tests/properties.rs`
 /// enforces this); they differ in how each branch & bound node's relaxation
 /// is solved:
 ///
 /// * [`Engine::SeedBaseline`] — the straightforward `Vec<Vec<f64>>` tableau
-///   preserved from the seed for honest before/after benchmarks.
-/// * [`Engine::DenseTableau`] — the flat contiguous tableau with embedded
-///   basis inverse and warm-started RHS re-derivation (PR 1).
-/// * [`Engine::RevisedSparse`] — sparse revised simplex: CSC matrix,
-///   LU-factorized basis with eta-file updates and periodic
-///   refactorization, sparse FTRAN/BTRAN, partial pricing. The default:
-///   Conductor models are ~95 % sparse, so per-pivot cost drops from
-///   O(m·cols) to O(nnz).
+///   preserved from the seed as the frozen oracle for honest before/after
+///   benchmarks and equivalence tests.
+/// * [`Engine::RevisedSparse`] — the production engine: sparse revised
+///   simplex over a CSC matrix with an LU-factorized basis, Forrest–Tomlin
+///   updates, implicit (bounded-variable) upper bounds with bound flips,
+///   dual steepest-edge warm-start repair and partial pricing (see
+///   [`crate::revised`]). Conductor models are ~95 % sparse, so per-pivot
+///   cost is O(nnz) rather than O(m·cols).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Engine {
     /// The preserved seed implementation (`crate::seed_baseline`).
     SeedBaseline,
-    /// The flat dense tableau simplex (`crate::simplex`).
-    DenseTableau,
     /// The sparse revised simplex (`crate::revised`).
     #[default]
     RevisedSparse,
@@ -117,34 +115,11 @@ pub struct SolveOptions {
     /// out while debugging.
     #[serde(default = "default_true")]
     pub warm_start: bool,
-    /// Which LP-relaxation engine to use. The seed and dense engines stay
-    /// selectable so benchmarks can report honest engine-vs-engine
-    /// comparisons; production paths use the default revised engine.
+    /// Which LP-relaxation engine to use. The seed engine stays selectable
+    /// so benchmarks and tests can compare against a frozen oracle;
+    /// production paths use the default revised engine.
     #[serde(default)]
     pub engine: Engine,
-    /// Bounded-variable simplex (revised engine only): handle finite upper
-    /// bounds implicitly via a nonbasic-at-upper status and a bound-flip
-    /// ratio test instead of materializing a span row per bounded variable
-    /// in the standard form. Roughly halves the row count on the
-    /// integer-heavy admission models, and turns branch & bound's bound
-    /// overrides into status flips instead of RHS patches. Default off so
-    /// existing bitwise pins keep anchoring the legacy path; the benchmarks
-    /// and the cross-engine battery exercise both settings.
-    #[serde(default)]
-    pub bounded_variables: bool,
-    /// Forrest–Tomlin basis updates (revised engine only): update the U
-    /// factor in place at each pivot instead of appending product-form eta
-    /// vectors, keeping FTRAN/BTRAN cost flat between refactorizations.
-    /// Default off (see `bounded_variables` for the determinism story).
-    #[serde(default)]
-    pub forrest_tomlin: bool,
-    /// Dual steepest-edge pricing (revised engine only) for the dual-repair
-    /// path every warm-started node runs: pick the leaving row by the
-    /// steepest-edge criterion with Forrest–Goldfarb weight updates instead
-    /// of the most-violated rule. Fewer, better pivots on re-solve-dominated
-    /// workloads. Default off (see `bounded_variables`).
-    #[serde(default)]
-    pub dual_steepest_edge: bool,
 }
 
 fn default_true() -> bool {
@@ -161,9 +136,6 @@ impl Default for SolveOptions {
             integrality_tol: 1e-6,
             warm_start: true,
             engine: Engine::default(),
-            bounded_variables: false,
-            forrest_tomlin: false,
-            dual_steepest_edge: false,
         }
     }
 }
@@ -381,8 +353,9 @@ impl Problem {
     }
 
     /// Solves with explicit options through a [`branch_bound::SolveContext`],
-    /// sharing one skeleton/factorization with the context's previous solves
-    /// and warm-starting the root from the last final basis.
+    /// reusing the context's skeleton and allocations. The result is
+    /// bit-for-bit the one [`Problem::solve_with`] returns, whatever the
+    /// context solved before.
     pub fn solve_with_context(
         &self,
         options: &SolveOptions,

@@ -1,67 +1,41 @@
-//! Sparse revised simplex with an LU-factorized basis.
+//! Sparse revised simplex with an LU-factorized basis — the engine behind
+//! every production solve.
 //!
-//! Third solver engine next to [`crate::seed_baseline`] and the dense
-//! tableau of [`crate::simplex`]. It shares the dense engine's
-//! [`StandardFormSkeleton`] (same variable mapping, row layout, span rows and
-//! per-node RHS patching) but replaces the O(m·cols)-per-pivot tableau with:
+//! It works on the [`StandardFormSkeleton`] of [`crate::simplex`] and keeps
 //!
-//! * the constraint matrix held once in CSC form ([`crate::sparse`]),
-//! * the basis kept as a sparse LU factorization with product-form eta
-//!   updates and periodic refactorization ([`crate::lu`]),
+//! * the constraint matrix once in CSC form ([`crate::sparse`]),
+//! * the basis as a sparse LU factorization with Forrest–Tomlin updates
+//!   and periodic refactorization ([`crate::lu`]),
 //! * sparse FTRAN/BTRAN solves for the entering column and the pricing
 //!   duals, and
 //! * **partial pricing** in the classic *multiple pricing* form: a full
 //!   Dantzig scan every few iterations shortlists the most negative
 //!   reduced-cost columns, and the iterations in between price only that
-//!   shortlist. Pivot quality stays near-Dantzig (the entering column right
-//!   after a scan *is* the global most-negative one, so branch & bound sees
-//!   the same vertices as the dense engine) while the per-iteration pricing
-//!   cost drops from O(nnz(A)) to O(shortlist).
+//!   shortlist, so the per-iteration pricing cost drops from O(nnz(A)) to
+//!   O(shortlist).
 //!
-//! Per-iteration cost drops from O(m·cols) to O(nnz). Warm starts across
-//! branch & bound nodes re-derive the node RHS *through the factorization*
-//! (`x_B = B⁻¹·b`) instead of through a basis inverse embedded in a reused
-//! tableau, so there is no analogue of the dense engine's `REUSE_REFRESH`
-//! drift ceiling: every refactorization recomputes `x_B` from scratch, and
-//! an explicit residual check (`‖B·x_B − b‖∞`) at each reuse converts drift
-//! into a counted refresh instead of a blind cold refill.
+//! Upper bounds never become rows. Each column carries an implicit upper
+//! bound for the current node and a nonbasic-at-upper status; the effective
+//! RHS is `b_eff = b − Σ_{j at upper} u_j·A_j`, the primal ratio test is
+//! two-sided with pivot-free **bound flips**, and branch & bound bound
+//! overrides become status flips rather than matrix changes.
 //!
-//! Infinite span-row right-hand sides (branchable variables with no upper
-//! bound) cannot flow through LU solves the way they flow through dense
-//! tableau arithmetic, so the RHS is carried as the pair `b = b_f + ∞·b_w`
-//! and the basic solution as `x = x_f + ∞·x_w`; a basic value is "infinite"
-//! exactly when its `x_w` weight is positive, which is what the ratio tests
-//! check.
-//!
-//! Three optional upgrades, each flagged in
-//! [`crate::problem::SolveOptions`], modernize the hot path:
-//!
-//! * **Bounded-variable simplex** (skeleton built with
-//!   [`StandardFormSkeleton::new_bounded`]): upper bounds live as a
-//!   nonbasic-at-upper status plus a bound-flip ratio test instead of
-//!   explicit span rows, so the effective RHS is
-//!   `b_eff = b − Σ_{j at upper} u_j·A_j` and branch & bound bound
-//!   overrides become status flips rather than span-RHS patches. The split
-//!   `∞·b_w` machinery is inert here (`has_inf` is never set).
-//! * **Forrest–Tomlin updates** ([`BasisFactorization::set_ft_mode`]):
-//!   basis changes rewrite U in place instead of appending product-form
-//!   etas, stretching the refactorization interval.
-//! * **Dual steepest-edge pricing** for the warm-start repair: leaving rows
-//!   are ranked by `δ²/γ` with reference-framework weights (`γ = 1` at
-//!   repair start) maintained by the Forrest–Goldfarb update formula.
+//! Warm starts across branch & bound nodes re-derive the node RHS *through
+//! the factorization* (`x_B = B⁻¹·b_eff`), check the residual
+//! `‖B·x_B − b_eff‖∞` (drift converts into a counted refactorization rather
+//! than a blind cold refill), and repair primal infeasibility with a dual
+//! simplex whose leaving rows are ranked by **dual steepest edge**: `δ²/γ`
+//! with reference-framework weights (`γ = 1` at repair start) maintained by
+//! the Forrest–Goldfarb update.
 
 use crate::error::LpError;
-use crate::lu::BasisFactorization;
-use crate::problem::ConstraintOp;
-use crate::problem::Problem;
+use crate::lu::{update_limit, BasisFactorization};
+use crate::problem::{ConstraintOp, Problem};
 use crate::simplex::{
-    repair_pivot_cap, SimplexResult, StandardFormSkeleton, VarMap, WarmStart, COST_TOL,
+    repair_pivot_cap, SimplexResult, SkelRow, StandardFormSkeleton, VarMap, WarmStart, COST_TOL,
     DUAL_PIVOT_TOL, FEAS_TOL, PIVOT_TOL, REUSE_HEALTH_LIMIT,
 };
 use crate::sparse::CscMatrix;
-
-/// `x_w` weights below this magnitude count as exactly finite.
-const INF_W_TOL: f64 = 1e-9;
 
 /// Debug aid: set `REVISED_TRACE=1` to log why warm-start reuses fall back
 /// to the cold path (each label marks one bail-out site in `try_reuse`).
@@ -71,15 +45,21 @@ fn trace(label: &str) {
     }
 }
 
-/// Eta-file length (as a multiple of [`eta_limit`]) beyond which a solve
-/// whose refactorizations keep failing is declared numerically lost.
-const ETA_GIVE_UP_FACTOR: usize = 6;
+/// Update-file length (as a multiple of the refactorization limit) beyond
+/// which a solve whose refactorizations keep failing is declared
+/// numerically lost.
+const UPDATE_GIVE_UP_FACTOR: usize = 6;
 
-/// Internal abort reason: either a real LP outcome or numerical trouble
-/// that warrants one stabilized cold restart.
+/// Internal abort reason: a real LP outcome, numerical trouble that
+/// warrants one stabilized cold restart, or a pivot that did not happen
+/// because its factor update was refused — either after refreshing drifted
+/// factors (`Refreshed`: re-price and retry) or on fresh factors
+/// (`Rejected`: the new basis would be singular; pick another column).
 enum SolveAbort {
     Lp(LpError),
     Numerical,
+    Refreshed,
+    Rejected,
 }
 
 impl From<LpError> for SolveAbort {
@@ -89,8 +69,8 @@ impl From<LpError> for SolveAbort {
 }
 
 /// Reusable state of the revised engine: the CSC matrix, the factorized
-/// basis, the split RHS/solution vectors and all scratch buffers. One
-/// workspace serves an entire branch & bound tree.
+/// basis, the RHS/solution vectors, the bound statuses and all scratch
+/// buffers. One workspace serves an entire branch & bound tree.
 #[derive(Debug, Clone, Default)]
 pub struct RevisedWorkspace {
     a: CscMatrix,
@@ -98,17 +78,14 @@ pub struct RevisedWorkspace {
     bf: BasisFactorization,
     basis: Vec<usize>,
     is_basic: Vec<bool>,
-    /// Node RHS, row space: actual value is `b_f + ∞·b_w`.
-    b_f: Vec<f64>,
-    b_w: Vec<f64>,
-    /// Basic solution, basis-position space: `x_f + ∞·x_w`.
-    x_f: Vec<f64>,
-    x_w: Vec<f64>,
+    /// Node RHS, row space.
+    b: Vec<f64>,
+    /// Basic solution, basis-position space.
+    x: Vec<f64>,
     /// Per-variable mapping constant for the current node.
     shifts: Vec<f64>,
     obj_constant: f64,
     b_scale: f64,
-    has_inf: bool,
     /// Row-sign convention chosen by the fill that built the CSC matrix.
     fill_flip: Vec<f64>,
     /// Phase-1 cost (1 on artificial columns).
@@ -123,7 +100,10 @@ pub struct RevisedWorkspace {
     /// found by the last full pricing scan, re-priced (cheaply) each
     /// iteration until the list dries up.
     candidates: Vec<usize>,
-    /// Eta count at which the next refactorization attempt is allowed
+    /// Columns whose last pivot was rejected by the factor update, barred
+    /// from pricing until the basis next changes.
+    rejected: Vec<usize>,
+    /// Update count at which the next refactorization attempt is allowed
     /// (backed off after a failed attempt so a temporarily singular basis
     /// cannot trigger an O(m²) factorization per pivot).
     refactor_after: usize,
@@ -136,8 +116,6 @@ pub struct RevisedWorkspace {
     skeleton_tag: usize,
     warm_hits: usize,
     warm_misses: usize,
-    // Bounded-variable mode (skeletons built with
-    // `StandardFormSkeleton::new_bounded`).
     /// Per standard column: its implicit upper bound for the current node
     /// (`+∞` when unbounded; recomputed per node from the bound overrides).
     col_upper: Vec<f64>,
@@ -145,30 +123,48 @@ pub struct RevisedWorkspace {
     /// bound. This is the status the bound-flip ratio test toggles and the
     /// status branch & bound bound overrides flip.
     at_upper: Vec<bool>,
-    /// Effective RHS `b_f − Σ_{j at upper} u_j·A_j`, kept in sync with
-    /// `at_upper`; equals `b_f` bitwise when no column is at its upper.
+    /// Effective RHS `b − Σ_{j at upper} u_j·A_j`, kept in sync with
+    /// `at_upper`.
     b_eff: Vec<f64>,
     /// Dual steepest-edge weights `γ_i ≈ ‖B⁻ᵀe_i‖²` (reference framework:
     /// reset to 1 at each repair start) and the `τ = B⁻¹ρ_r` scratch of the
     /// Forrest–Goldfarb update.
     dse_gamma: Vec<f64>,
     dse_tau: Vec<f64>,
-    /// Use dual steepest-edge row selection in the warm-start repair.
-    use_dse: bool,
-    /// Bound flips performed by the bounded-variable ratio test.
+    /// Bound flips performed by the ratio test.
     bound_flips: usize,
 }
 
 impl RevisedWorkspace {
-    /// Cumulative `(hits, misses)` of warm-start attempts.
+    /// `(hits, misses)` of warm-start attempts since the last
+    /// [`reset_counters`](Self::reset_counters).
     pub fn warm_start_counts(&self) -> (usize, usize) {
         (self.warm_hits, self.warm_misses)
     }
 
-    /// Cumulative `(factorizations, refactorizations)`: total LU builds and
-    /// the subset triggered mid-stream by the eta limit or a drift check.
+    /// `(factorizations, refactorizations)` since the last counter reset:
+    /// total LU builds and the subset triggered mid-stream by the update
+    /// limit or a drift check.
     pub fn factorization_counts(&self) -> (usize, usize) {
         (self.bf.factorizations, self.bf.refactorizations)
+    }
+
+    /// `(bound_flips, ft_updates)` since the last counter reset: bound-flip
+    /// ratio-test hits and Forrest–Tomlin factor updates.
+    pub fn pivot_counts(&self) -> (usize, usize) {
+        (self.bound_flips, self.bf.ft_updates)
+    }
+
+    /// Zeroes every work counter, so the counts describe the solves that
+    /// follow (one branch & bound run reports its own work, however long
+    /// the workspace has lived).
+    pub fn reset_counters(&mut self) {
+        self.warm_hits = 0;
+        self.warm_misses = 0;
+        self.bound_flips = 0;
+        self.bf.factorizations = 0;
+        self.bf.refactorizations = 0;
+        self.bf.ft_updates = 0;
     }
 
     /// The basis left by the last successful solve (empty before any).
@@ -186,47 +182,43 @@ impl RevisedWorkspace {
         self.reusable = false;
         self.skeleton_tag = 0;
     }
-
-    /// Selects the factor-update scheme and the repair pricing rule for
-    /// every subsequent solve. Switching the Forrest–Tomlin mode changes
-    /// the factor representation, so the next solve is forced onto the cold
-    /// path (whose fill refactorizes from scratch); toggling steepest-edge
-    /// pricing needs no invalidation.
-    pub fn configure(&mut self, forrest_tomlin: bool, dual_steepest_edge: bool) {
-        if forrest_tomlin != self.bf.ft_mode() {
-            self.bf.set_ft_mode(forrest_tomlin);
-            self.reusable = false;
-        }
-        self.use_dse = dual_steepest_edge;
-    }
-
-    /// Cumulative `(bound_flips, ft_updates)`: bound-flip ratio-test hits
-    /// (bounded-variable mode) and Forrest–Tomlin factor updates.
-    pub fn pivot_counts(&self) -> (usize, usize) {
-        (self.bound_flips, self.bf.ft_updates)
-    }
 }
 
-/// Outcome of a warm-start attempt (mirrors the dense engine).
+/// Outcome of a warm-start attempt.
 enum ReuseOutcome {
+    /// Reused: primal feasibility restored after this many repair pivots.
     Reused(usize),
+    /// The dual repair produced a certificate that the node is infeasible;
+    /// the factorization stays dual feasible and therefore reusable.
     Infeasible,
+    /// Reuse impossible (layout/numerical reasons); fall back to cold.
     Fallback,
 }
 
+/// Outcome of the dual-simplex repair loop.
 enum RepairResult {
+    /// Primal feasibility restored after this many pivots.
     Done(usize),
+    /// A row certified the node primal infeasible.
     Infeasible,
+    /// Pivot cap exceeded (likely numerical trouble); fall back to cold.
     GaveUp,
 }
 
 /// Solves the continuous relaxation described by `skeleton` under the given
-/// bound overrides with the sparse revised simplex.
+/// bound overrides.
 ///
-/// Drop-in equivalent of [`crate::simplex::solve_with_skeleton`]: same
-/// skeleton, same warm-start contract (`basis_hint` authorizes reusing the
-/// workspace's last optimal basis), same result type.
-pub fn solve_with_skeleton_revised(
+/// `basis_hint` (a basis returned by a previous solve against the *same*
+/// skeleton) authorizes a warm start: the solver reuses the workspace's
+/// last optimal factorized basis — any optimal basis of the same constraint
+/// matrix is dual feasible for this node, since the objective never changes
+/// — re-derives the RHS and dual-repairs it. Passing `None` forces the cold
+/// two-phase path, whose result depends on the skeleton and bounds alone.
+///
+/// The caller must ensure `skeleton.compatible(lower, upper)` holds; branch
+/// & bound guarantees it structurally, and [`solve_relaxation`] builds a
+/// fresh skeleton per call.
+pub fn solve_with_skeleton(
     skeleton: &StandardFormSkeleton,
     ws: &mut RevisedWorkspace,
     lower: &[f64],
@@ -253,6 +245,11 @@ pub fn solve_with_skeleton_revised(
         solver.ws.reusable = false; // re-armed only on success
         match solver.try_reuse(lower, upper) {
             ReuseOutcome::Reused(pivots) => {
+                // The repaired basis is primal feasible and (numerically)
+                // dual feasible; the phase-2 polish normally terminates in a
+                // handful of iterations. A tight budget converts numerical
+                // trouble into a cold restart instead of burning the whole
+                // iteration allowance.
                 let m = skeleton.m_total;
                 let polish_cap = (2 * (m + skeleton.cols)).max(64).min(max_iterations);
                 match solver.optimize(&skeleton.c, polish_cap, false) {
@@ -290,7 +287,7 @@ pub fn solve_with_skeleton_revised(
                     solver.ws.reusable = false;
                     return Err(e);
                 }
-                Err(SolveAbort::Numerical) => {
+                Err(_) => {
                     // Numerical trouble (a basis the LU cannot trust, e.g.
                     // after a noise-level pivot): restart once from a fresh
                     // slack/artificial basis under Bland's rule, the most
@@ -305,7 +302,7 @@ pub fn solve_with_skeleton_revised(
                             solver.ws.reusable = false;
                             return Err(e);
                         }
-                        Err(SolveAbort::Numerical) => {
+                        Err(_) => {
                             solver.ws.reusable = false;
                             return Err(LpError::IterationLimit {
                                 iterations: max_iterations,
@@ -332,8 +329,15 @@ pub fn solve_with_skeleton_revised(
     })
 }
 
-/// One-shot convenience mirroring [`crate::simplex::solve_relaxation`].
-pub fn solve_relaxation_revised(
+/// Solves the continuous relaxation of `problem` using the supplied bound
+/// overrides (`lower[i]`, `upper[i]` replace the declared bounds of variable
+/// `i`; semi-continuous variables are treated as continuous within those
+/// bounds).
+///
+/// One-shot convenience over [`StandardFormSkeleton`] +
+/// [`solve_with_skeleton`]; branch & bound uses those directly so the
+/// skeleton and workspace are shared across the whole tree.
+pub fn solve_relaxation(
     problem: &Problem,
     lower: &[f64],
     upper: &[f64],
@@ -341,7 +345,7 @@ pub fn solve_relaxation_revised(
 ) -> Result<SimplexResult, LpError> {
     let skeleton = StandardFormSkeleton::new(problem, lower, upper)?;
     let mut ws = RevisedWorkspace::default();
-    solve_with_skeleton_revised(&skeleton, &mut ws, lower, upper, None, max_iterations)
+    solve_with_skeleton(&skeleton, &mut ws, lower, upper, None, max_iterations)
 }
 
 struct RSolver<'a> {
@@ -350,11 +354,17 @@ struct RSolver<'a> {
 }
 
 impl<'a> RSolver<'a> {
+    /// Computes the per-node variable shifts, objective constant and
+    /// implicit column bounds (shared by the cold fill and the warm path).
     fn compute_node_scalars(&mut self, lower: &[f64], upper: &[f64]) {
         let sk = self.sk;
         let ws = &mut *self.ws;
         ws.shifts.clear();
         ws.shifts.resize(sk.var_map.len(), 0.0);
+        // Slacks and artificials are unbounded above; so are the split
+        // halves of free variables.
+        ws.col_upper.clear();
+        ws.col_upper.resize(sk.cols, f64::INFINITY);
         for (i, map) in sk.var_map.iter().enumerate() {
             ws.shifts[i] = match *map {
                 VarMap::Shifted { .. } => lower[i],
@@ -362,46 +372,31 @@ impl<'a> RSolver<'a> {
                 VarMap::Fixed => lower[i],
                 VarMap::Split { .. } => 0.0,
             };
+            if let VarMap::Shifted { col } | VarMap::Mirrored { col } = *map {
+                ws.col_upper[col] = (upper[i] - lower[i]).max(0.0);
+            }
         }
         ws.obj_constant = sk.obj_base
             + sk.obj_terms
                 .iter()
                 .map(|&(var, coef)| coef * ws.shifts[var])
                 .sum::<f64>();
-        // Per-node implicit column bounds. Slacks and artificials are
-        // unbounded above; in legacy (span-row) mode every column is, which
-        // makes the bounded-variable code paths degrade to the exact legacy
-        // arithmetic.
-        ws.col_upper.clear();
-        ws.col_upper.resize(sk.cols, f64::INFINITY);
-        if sk.is_bounded() {
-            for (i, map) in sk.var_map.iter().enumerate() {
-                match *map {
-                    VarMap::Shifted { col } | VarMap::Mirrored { col } => {
-                        ws.col_upper[col] = (upper[i] - lower[i]).max(0.0);
-                    }
-                    _ => {}
-                }
-            }
-        }
     }
 
     /// Cold fill: rebuilds the CSC matrix (with this node's row-sign
-    /// convention), the split RHS, the slack/artificial basis and the
-    /// trivial (identity) factorization.
+    /// convention), the RHS, the slack/artificial basis with every column
+    /// at its lower bound, and the trivial (identity) factorization.
     fn fill(&mut self, lower: &[f64], upper: &[f64]) {
         self.compute_node_scalars(lower, upper);
         let sk = self.sk;
+        let m = sk.m_total;
         let ws = &mut *self.ws;
         ws.reusable = false;
-        let m = sk.m_total;
         ws.triplets.clear();
         ws.fill_flip.clear();
         ws.fill_flip.resize(m, 1.0);
-        ws.b_f.clear();
-        ws.b_f.resize(m, 0.0);
-        ws.b_w.clear();
-        ws.b_w.resize(m, 0.0);
+        ws.b.clear();
+        ws.b.resize(m, 0.0);
         ws.basis.clear();
         ws.basis.resize(m, 0);
         ws.is_basic.clear();
@@ -412,16 +407,10 @@ impl<'a> RSolver<'a> {
             ws.phase1_cost[j] = 1.0;
         }
         ws.b_scale = 0.0;
-        ws.has_inf = false;
         ws.refactor_after = 0;
 
         for (ri, row) in sk.rows.iter().enumerate() {
-            let rhs = row.base_rhs
-                - row
-                    .terms
-                    .iter()
-                    .map(|&(var, coef)| coef * ws.shifts[var])
-                    .sum::<f64>();
+            let rhs = node_rhs(row, &ws.shifts);
             let flip = rhs < 0.0;
             let sign = if flip { -1.0 } else { 1.0 };
             let effective_op = match (row.op, flip) {
@@ -436,7 +425,7 @@ impl<'a> RSolver<'a> {
             let slack_col = sk.num_struct + ri;
             let art_col = sk.artificial_start + ri;
             let b = sign * rhs;
-            ws.b_f[ri] = b;
+            ws.b[ri] = b;
             ws.b_scale = ws.b_scale.max(b.abs());
             let basic = match effective_op {
                 ConstraintOp::Le => {
@@ -457,47 +446,26 @@ impl<'a> RSolver<'a> {
             ws.is_basic[basic] = true;
         }
 
-        for (k, &(col, var)) in sk.span_rows.iter().enumerate() {
-            let ri = sk.m_constraints + k;
-            let slack_col = sk.num_struct + ri;
-            ws.triplets.push((col, ri, 1.0));
-            ws.triplets.push((slack_col, ri, 1.0));
-            let span = (upper[var] - lower[var]).max(0.0);
-            if span.is_finite() {
-                ws.b_f[ri] = span;
-                ws.b_scale = ws.b_scale.max(span);
-            } else {
-                ws.b_w[ri] = 1.0;
-                ws.has_inf = true;
-            }
-            ws.basis[ri] = slack_col;
-            ws.is_basic[slack_col] = true;
-        }
-
         ws.a.assemble(m, sk.cols, &ws.triplets);
-        // Cold fills start every column at its lower bound, so the
-        // effective RHS is the raw one.
         ws.at_upper.clear();
         ws.at_upper.resize(sk.cols, false);
         ws.b_eff.clear();
-        ws.b_eff.extend_from_slice(&ws.b_f);
+        ws.b_eff.extend_from_slice(&ws.b);
         // The slack/artificial basis is the identity; the factorization of
         // an identity cannot fail.
         ws.bf
             .refactorize(&ws.a, &ws.basis, false)
             .expect("identity basis factorization");
-        ws.x_f.clear();
-        ws.x_f.extend_from_slice(&ws.b_f);
-        ws.x_w.clear();
-        ws.x_w.extend_from_slice(&ws.b_w);
+        ws.x.clear();
+        ws.x.extend_from_slice(&ws.b);
     }
 
-    /// Rebuilds `b_eff = b_f − Σ_{j at upper} u_j·A_j` from scratch (used
+    /// Rebuilds `b_eff = b − Σ_{j at upper} u_j·A_j` from scratch (used
     /// when the node RHS or the bound set changed wholesale).
     fn rebuild_effective_rhs(&mut self) {
         let ws = &mut *self.ws;
         ws.b_eff.clear();
-        ws.b_eff.extend_from_slice(&ws.b_f);
+        ws.b_eff.extend_from_slice(&ws.b);
         for j in 0..ws.at_upper.len() {
             if ws.at_upper[j] {
                 let u = ws.col_upper[j];
@@ -523,121 +491,49 @@ impl<'a> RSolver<'a> {
         }
     }
 
-    /// Refactorizes and recomputes `x = B⁻¹·b` from scratch. Returns `false`
-    /// (leaving the still-valid eta representation in place) if the basis is
-    /// numerically singular.
+    /// Refactorizes and recomputes `x = B⁻¹·b_eff` from scratch. Returns
+    /// `false` (leaving the still-valid updated factors in place) if the
+    /// basis is numerically singular.
     fn refactor_and_recompute(&mut self, refresh: bool) -> bool {
         let ws = &mut *self.ws;
         if ws.bf.refactorize(&ws.a, &ws.basis, refresh).is_err() {
             return false;
         }
         ws.refactor_after = 0;
-        ws.x_f.clear();
-        ws.x_f.extend_from_slice(&ws.b_eff);
-        ws.bf.ftran(&mut ws.x_f);
-        ws.x_w.clear();
-        ws.x_w.resize(ws.b_w.len(), 0.0);
-        if ws.has_inf {
-            ws.x_w.copy_from_slice(&ws.b_w);
-            ws.bf.ftran(&mut ws.x_w);
-            for v in ws.x_w.iter_mut() {
-                if v.abs() <= INF_W_TOL {
-                    *v = 0.0;
-                }
-            }
-        }
+        ws.x.clear();
+        ws.x.extend_from_slice(&ws.b_eff);
+        ws.bf.ftran(&mut ws.x);
         true
     }
 
-    /// Applies the pivot `(leave row, entering column)` given the FTRAN'd
-    /// entering column in `ws.w`: updates the basic solution, the basis
-    /// bookkeeping and the eta file, refactorizing at the eta limit.
+    /// Basis change: the entering column moves by `t` in direction `dir`
+    /// (+1 when entering from its lower bound, −1 from its upper) until the
+    /// basic variable in `leave` hits the bound selected by
+    /// `leave_to_upper`. `ws.w` must hold `B⁻¹·a_enter`, computed by
+    /// `ftran_entering`.
     ///
-    /// Returns `Err(SolveAbort::Numerical)` when the eta file has grown far
-    /// past the limit because refactorizations keep failing — the basis has
-    /// degenerated numerically and the caller must restart.
-    fn pivot(&mut self, leave: usize, enter: usize) -> Result<(), SolveAbort> {
-        let m = self.sk.m_total;
-        {
-            let ws = &mut *self.ws;
-            let wr = ws.w[leave];
-            debug_assert!(wr.abs() > PIVOT_TOL);
-            let theta_f = ws.x_f[leave] / wr;
-            let theta_w = ws.x_w[leave] / wr;
-            for i in 0..m {
-                if i == leave {
-                    continue;
-                }
-                let wi = ws.w[i];
-                if wi != 0.0 {
-                    ws.x_f[i] -= theta_f * wi;
-                    ws.x_w[i] -= theta_w * wi;
-                    if ws.x_w[i].abs() <= INF_W_TOL {
-                        ws.x_w[i] = 0.0;
-                    }
-                }
-            }
-            ws.x_f[leave] = theta_f;
-            ws.x_w[leave] = if theta_w.abs() <= INF_W_TOL {
-                0.0
-            } else {
-                theta_w
-            };
-            let old = ws.basis[leave];
-            ws.is_basic[old] = false;
-            ws.basis[leave] = enter;
-            ws.is_basic[enter] = true;
-        }
-        self.update_factors(leave)
-    }
-
-    /// Shared factor-update tail of every basis change: `ws.w` must hold
-    /// the FTRAN'd entering column (`B_old⁻¹·a_enter`) and the basis
-    /// bookkeeping must already reflect the new basis. Applies the update
-    /// (product-form eta or Forrest–Tomlin, per the factorization's mode)
-    /// and refactorizes at the scheme's update limit.
-    fn update_factors(&mut self, leave: usize) -> Result<(), SolveAbort> {
-        let m = self.sk.m_total;
-        if self.ws.bf.update(leave, &self.ws.w).is_err() {
-            // Forrest–Tomlin rejected the replacement as numerically
-            // singular. The basis bookkeeping already changed, so the old
-            // factors no longer match it: refactorize from scratch now.
-            if !self.refactor_and_recompute(true) {
-                return Err(SolveAbort::Numerical);
-            }
-            return Ok(());
-        }
-        let limit = self.ws.bf.update_limit(m);
-        let count = self.ws.bf.eta_count();
-        if count >= limit && count >= self.ws.refactor_after {
-            if self.refactor_and_recompute(true) {
-                self.ws.refactor_after = 0;
-            } else {
-                // The update representation stays valid; back off so a
-                // (temporarily) singular basis cannot cost an O(m²)
-                // factorization attempt on every pivot.
-                self.ws.refactor_after = count + limit;
-                if count >= ETA_GIVE_UP_FACTOR * limit {
-                    return Err(SolveAbort::Numerical);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Bounded-variable basis change: the entering column moves by `t` in
-    /// direction `dir` (+1 when entering from its lower bound, −1 from its
-    /// upper) until the basic variable in `leave` hits the bound selected
-    /// by `leave_to_upper`. `ws.w` must hold `B⁻¹·a_enter`. The `∞·x_w`
-    /// machinery is untouched: bounded skeletons never produce infinite
-    /// RHS components.
-    fn pivot_step(
+    /// The Forrest–Tomlin update runs first, so a refused update leaves the
+    /// old basis intact: factors carrying earlier updates are refactorized
+    /// ([`SolveAbort::Refreshed`]; the caller re-prices), fresh ones mean
+    /// the new basis is numerically singular ([`SolveAbort::Rejected`]).
+    /// Returns [`SolveAbort::Numerical`] when a refactorization fails and
+    /// the basis cannot be trusted — the caller must restart.
+    fn pivot(
         &mut self,
         leave: usize,
         enter: usize,
         dir: f64,
         leave_to_upper: bool,
     ) -> Result<(), SolveAbort> {
+        if self.ws.bf.update(leave, self.ws.w[leave]).is_err() {
+            if self.ws.bf.update_count() == 0 {
+                return Err(SolveAbort::Rejected);
+            }
+            if !self.refactor_and_recompute(true) {
+                return Err(SolveAbort::Numerical);
+            }
+            return Err(SolveAbort::Refreshed);
+        }
         let m = self.sk.m_total;
         let old = self.ws.basis[leave];
         {
@@ -649,17 +545,17 @@ impl<'a> RSolver<'a> {
             } else {
                 0.0
             };
-            let t = (ws.x_f[leave] - target) / wr;
+            let t = (ws.x[leave] - target) / wr;
             for i in 0..m {
                 if i == leave {
                     continue;
                 }
                 let wi = dir * ws.w[i];
                 if wi != 0.0 {
-                    ws.x_f[i] -= t * wi;
+                    ws.x[i] -= t * wi;
                 }
             }
-            ws.x_f[leave] = if dir > 0.0 {
+            ws.x[leave] = if dir > 0.0 {
                 t
             } else {
                 ws.col_upper[enter] - t
@@ -677,7 +573,24 @@ impl<'a> RSolver<'a> {
         if leave_to_upper {
             self.set_at_upper(old, true);
         }
-        self.update_factors(leave)
+
+        // Refactorize at the update limit.
+        let limit = update_limit(m);
+        let count = self.ws.bf.update_count();
+        if count >= limit && count >= self.ws.refactor_after {
+            if self.refactor_and_recompute(true) {
+                self.ws.refactor_after = 0;
+            } else {
+                // The updated factors stay valid; back off so a
+                // (temporarily) singular basis cannot cost an O(m²)
+                // factorization attempt on every pivot.
+                self.ws.refactor_after = count + limit;
+                if count >= UPDATE_GIVE_UP_FACTOR * limit {
+                    return Err(SolveAbort::Numerical);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Bound flip: the entering column hit its own opposite bound before
@@ -692,7 +605,7 @@ impl<'a> RSolver<'a> {
             for i in 0..m {
                 let wi = dir * ws.w[i];
                 if wi != 0.0 {
-                    ws.x_f[i] -= span * wi;
+                    ws.x[i] -= span * wi;
                 }
             }
         }
@@ -719,6 +632,7 @@ impl<'a> RSolver<'a> {
         let bland_threshold = 4 * (m + cols);
         // The shortlist is only meaningful for one cost vector / phase.
         self.ws.candidates.clear();
+        self.ws.rejected.clear();
 
         let mut iterations = 0usize;
         loop {
@@ -739,6 +653,11 @@ impl<'a> RSolver<'a> {
                 self.price_partial(cost, enterable_end)
             };
             let Some(enter) = entering else {
+                if !self.ws.rejected.is_empty() {
+                    // Only numerically rejected pivots could still improve:
+                    // optimality is not certified.
+                    return Err(SolveAbort::Numerical);
+                }
                 return Ok(iterations);
             };
 
@@ -748,43 +667,36 @@ impl<'a> RSolver<'a> {
                 ws.w.clear();
                 ws.w.resize(m, 0.0);
                 ws.a.scatter_col(enter, &mut ws.w);
-                ws.bf.ftran(&mut ws.w);
+                ws.bf.ftran_entering(&mut ws.w);
             }
 
-            // Two-pass ratio test with the dense engine's exact semantics
-            // (minimum ratio, largest pivot among near-ties) so both engines
-            // walk the same vertices — plus a Harris-style fallback: when
-            // the exact rule would pivot on a noise-level entry (|w| ≲ 1e-7,
-            // which de-conditions the LU factorization), the minimum ratio
-            // is relaxed by the feasibility tolerance to reach a safe pivot.
-            // A tiny `w_i` inflates its relaxed ratio by `tol / w_i`, so the
-            // fallback escapes the noise row whenever a healthy pivot exists.
-            //
-            // In bounded-variable mode the test is two-sided: the entering
-            // column moves in `dir` (−1 when entering from its upper
-            // bound), basic variables can block at their own upper bounds
-            // (`dir·w < 0` rows), and the entering column's own span is a
-            // blocking "row" of its own — hitting it first is a bound flip,
-            // not a pivot. With every `col_upper` infinite (legacy
-            // skeletons) all of this degrades to the exact legacy
-            // arithmetic.
+            // Two-sided, two-pass ratio test: the entering column moves in
+            // `dir` (−1 when entering from its upper bound), basic
+            // variables block at their lower bound (`dir·w > 0` rows) or at
+            // their own upper bound (`dir·w < 0` rows), and the entering
+            // column's own span is a blocking "row" of its own — hitting it
+            // first is a bound flip, not a pivot. Among near-ties of the
+            // minimum ratio the largest pivot wins, plus a Harris-style
+            // fallback: when the exact rule would pivot on a noise-level
+            // entry (|w| ≲ 1e-7, which de-conditions the LU factorization),
+            // the minimum ratio is relaxed by the feasibility tolerance to
+            // reach a safe pivot. A tiny `w_i` inflates its relaxed ratio by
+            // `tol / w_i`, so the fallback escapes the noise row whenever a
+            // healthy pivot exists.
             let dir = if self.ws.at_upper[enter] { -1.0 } else { 1.0 };
             let enter_span = self.ws.col_upper[enter];
             let mut best_ratio = f64::INFINITY;
             for i in 0..m {
-                if self.ws.x_w[i] != 0.0 {
-                    continue;
-                }
                 let a = dir * self.ws.w[i];
                 if a > PIVOT_TOL {
-                    let ratio = self.ws.x_f[i] / a;
+                    let ratio = self.ws.x[i] / a;
                     if ratio < best_ratio {
                         best_ratio = ratio;
                     }
                 } else if a < -PIVOT_TOL {
                     let u = self.ws.col_upper[self.ws.basis[i]];
                     if u.is_finite() {
-                        let ratio = (self.ws.x_f[i] - u) / a;
+                        let ratio = (self.ws.x[i] - u) / a;
                         if ratio < best_ratio {
                             best_ratio = ratio;
                         }
@@ -796,6 +708,7 @@ impl<'a> RSolver<'a> {
             }
             if enter_span <= best_ratio {
                 self.bound_flip(enter, dir);
+                self.ws.rejected.clear();
                 iterations += 1;
                 continue;
             }
@@ -803,20 +716,17 @@ impl<'a> RSolver<'a> {
                 let mut leave: Option<(usize, bool)> = None;
                 let mut best_pivot = 0.0f64;
                 for i in 0..m {
-                    if ws.x_w[i] != 0.0 {
-                        continue;
-                    }
                     let a = dir * ws.w[i];
                     let (ratio, to_upper);
                     if a > PIVOT_TOL {
-                        ratio = ws.x_f[i] / a;
+                        ratio = ws.x[i] / a;
                         to_upper = false;
                     } else if a < -PIVOT_TOL {
                         let u = ws.col_upper[ws.basis[i]];
                         if !u.is_finite() {
                             continue;
                         }
-                        ratio = (ws.x_f[i] - u) / a;
+                        ratio = (ws.x[i] - u) / a;
                         to_upper = true;
                     } else {
                         continue;
@@ -846,19 +756,16 @@ impl<'a> RSolver<'a> {
                 let feas_tol = FEAS_TOL * (1.0 + self.ws.b_scale);
                 let mut theta_max = enter_span;
                 for i in 0..m {
-                    if self.ws.x_w[i] != 0.0 {
-                        continue;
-                    }
                     let a = dir * self.ws.w[i];
                     if a > PIVOT_TOL {
-                        let relaxed = (self.ws.x_f[i] + feas_tol) / a;
+                        let relaxed = (self.ws.x[i] + feas_tol) / a;
                         if relaxed < theta_max {
                             theta_max = relaxed;
                         }
                     } else if a < -PIVOT_TOL {
                         let u = self.ws.col_upper[self.ws.basis[i]];
                         if u.is_finite() {
-                            let relaxed = (self.ws.x_f[i] - u - feas_tol) / a;
+                            let relaxed = (self.ws.x[i] - u - feas_tol) / a;
                             if relaxed < theta_max {
                                 theta_max = relaxed;
                             }
@@ -874,11 +781,11 @@ impl<'a> RSolver<'a> {
                 return Err(LpError::Unbounded.into());
             };
 
-            if self.sk.is_bounded() {
-                self.pivot_step(leave, enter, dir, leave_to_upper)?;
-            } else {
-                debug_assert!(dir > 0.0 && !leave_to_upper);
-                self.pivot(leave, enter)?;
+            match self.pivot(leave, enter, dir, leave_to_upper) {
+                Ok(()) => self.ws.rejected.clear(),
+                Err(SolveAbort::Refreshed) => {}
+                Err(SolveAbort::Rejected) => self.ws.rejected.push(enter),
+                Err(e) => return Err(e),
             }
             iterations += 1;
         }
@@ -899,19 +806,19 @@ impl<'a> RSolver<'a> {
             is_basic,
             y,
             at_upper,
+            rejected,
             ..
         } = &mut *self.ws;
 
         // A column nonbasic at its upper bound improves the objective by
         // *decreasing*, so its pricing score is the negated reduced cost;
-        // at-lower columns keep the plain Dantzig score. (`at_upper` is
-        // all-false on legacy skeletons.)
+        // at-lower columns keep the plain Dantzig score.
         let score_of = |j: usize, d: f64| if at_upper[j] { -d } else { d };
 
         // Cheap pass over the existing shortlist.
         let mut best: Option<(usize, f64)> = None;
         candidates.retain(|&j| {
-            if j >= enterable_end || is_basic[j] {
+            if j >= enterable_end || is_basic[j] || rejected.contains(&j) {
                 return false;
             }
             let d = score_of(j, cost[j] - a.col_dot(j, y));
@@ -933,7 +840,7 @@ impl<'a> RSolver<'a> {
         candidates.clear();
         let mut scored: Vec<(usize, f64)> = Vec::with_capacity(SHORTLIST + 1);
         for j in 0..enterable_end {
-            if is_basic[j] {
+            if is_basic[j] || rejected.contains(&j) {
                 continue;
             }
             let d = score_of(j, cost[j] - a.col_dot(j, y));
@@ -949,12 +856,12 @@ impl<'a> RSolver<'a> {
         scored.first().map(|&(j, _)| j)
     }
 
-    /// Bland's rule (anti-cycling): first non-basic column with a negative
-    /// reduced cost, scanning from column 0.
+    /// Bland's rule (anti-cycling): first non-basic column with an
+    /// improving reduced cost, scanning from column 0.
     fn price_bland(&mut self, cost: &[f64], enterable_end: usize) -> Option<usize> {
         let ws = &mut *self.ws;
         (0..enterable_end).find(|&j| {
-            if ws.is_basic[j] {
+            if ws.is_basic[j] || ws.rejected.contains(&j) {
                 return false;
             }
             let d = cost[j] - ws.a.col_dot(j, &ws.y);
@@ -963,15 +870,11 @@ impl<'a> RSolver<'a> {
         })
     }
 
+    /// Phase 1 (when an artificial is basic) then phase 2. A problem with
+    /// no constraint rows runs phase 2 alone, which settles every column by
+    /// bound flips (or reports it unbounded).
     fn optimize_two_phase(&mut self, max_iterations: usize) -> Result<usize, SolveAbort> {
         let sk = self.sk;
-        if sk.m_total == 0 {
-            if sk.c.iter().any(|&c| c < -COST_TOL) {
-                return Err(LpError::Unbounded.into());
-            }
-            return Ok(0);
-        }
-
         let mut it1 = 0usize;
         let needs_phase1 = self.ws.basis.iter().any(|&b| b >= sk.artificial_start);
         if needs_phase1 {
@@ -1014,11 +917,17 @@ impl<'a> RSolver<'a> {
                 ws.w.clear();
                 ws.w.resize(m, 0.0);
                 ws.a.scatter_col(j, &mut ws.w);
-                ws.bf.ftran(&mut ws.w);
+                ws.bf.ftran_entering(&mut ws.w);
                 // The degenerate pivot must itself be safely sized, or it
                 // would be exactly the noise pivot the ratio test avoids.
                 if ws.w[i].abs() > 1e-7 {
-                    self.pivot(i, j)?;
+                    let dir = if ws.at_upper[j] { -1.0 } else { 1.0 };
+                    match self.pivot(i, j, dir, false) {
+                        // A rejected pivot leaves the artificial basic at
+                        // (near) zero, which phase 2 tolerates.
+                        Ok(()) | Err(SolveAbort::Refreshed | SolveAbort::Rejected) => {}
+                        Err(e) => return Err(e),
+                    }
                 }
             }
         }
@@ -1027,12 +936,17 @@ impl<'a> RSolver<'a> {
 
     /// Warm start: re-derive this node's RHS through the factorized basis,
     /// verify the factorization against the node (residual drift check), and
-    /// dual-repair any negative basic values.
+    /// dual-repair any bound violations.
+    ///
+    /// The node's bound overrides arrive as fresh `col_upper` values with
+    /// the *statuses* carried over — a status flip, not a matrix change. A
+    /// status can outlive the bound that made it meaningful (a node
+    /// widening an upper bound back to ∞): it is demoted to at-lower and
+    /// the dual repair re-establishes feasibility.
     fn try_reuse(&mut self, lower: &[f64], upper: &[f64]) -> ReuseOutcome {
         let sk = self.sk;
         let m = sk.m_total;
-        if m == 0
-            || self.ws.basis.len() != m
+        if self.ws.basis.len() != m
             || self.ws.a.rows() != m
             || self.ws.a.cols() != sk.cols
             || self.ws.at_upper.len() != sk.cols
@@ -1046,7 +960,7 @@ impl<'a> RSolver<'a> {
         // before trusting the factorization with a new node. (Only the
         // factorization is rebuilt here — this node's RHS is written, and
         // x = B⁻¹·b computed from it, just below.)
-        if self.ws.bf.eta_count() >= self.ws.bf.update_limit(m) {
+        if self.ws.bf.update_count() >= update_limit(m) {
             let ws = &mut *self.ws;
             if ws.bf.refactorize(&ws.a, &ws.basis, true).is_err() {
                 trace("refactor");
@@ -1056,82 +970,35 @@ impl<'a> RSolver<'a> {
         }
 
         let ws = &mut *self.ws;
-        ws.has_inf = false;
         for (ri, row) in sk.rows.iter().enumerate() {
-            let raw = row.base_rhs
-                - row
-                    .terms
-                    .iter()
-                    .map(|&(var, coef)| coef * ws.shifts[var])
-                    .sum::<f64>();
-            ws.b_f[ri] = ws.fill_flip[ri] * raw;
-            ws.b_w[ri] = 0.0;
+            ws.b[ri] = ws.fill_flip[ri] * node_rhs(row, &ws.shifts);
         }
-        for (k, &(_, var)) in sk.span_rows.iter().enumerate() {
-            let ri = sk.m_constraints + k;
-            let span = (upper[var] - lower[var]).max(0.0);
-            if span.is_finite() {
-                ws.b_f[ri] = span;
-                ws.b_w[ri] = 0.0;
-            } else {
-                ws.b_f[ri] = 0.0;
-                ws.b_w[ri] = 1.0;
-                ws.has_inf = true;
-            }
-        }
-        if sk.is_bounded() {
-            // This is the bounded-variable warm start in full: the node's
-            // bound overrides arrive as fresh `col_upper` values with the
-            // *statuses* carried over — a status flip, not an RHS patch. A
-            // status can outlive the bound that made it meaningful (a node
-            // widening an upper back to ∞): demote it to at-lower and let
-            // the dual repair re-establish feasibility.
-            for j in 0..sk.cols {
-                if ws.at_upper[j] && !ws.col_upper[j].is_finite() {
-                    ws.at_upper[j] = false;
-                }
+        for j in 0..sk.cols {
+            if ws.at_upper[j] && !ws.col_upper[j].is_finite() {
+                ws.at_upper[j] = false;
             }
         }
         self.rebuild_effective_rhs();
 
-        // x = B⁻¹·b through the factorization.
+        // x = B⁻¹·b_eff through the factorization.
         let ws = &mut *self.ws;
-        ws.x_f.clear();
-        ws.x_f.extend_from_slice(&ws.b_eff);
-        ws.bf.ftran(&mut ws.x_f);
-        ws.x_w.clear();
-        ws.x_w.resize(m, 0.0);
-        if ws.has_inf {
-            ws.x_w.copy_from_slice(&ws.b_w);
-            ws.bf.ftran(&mut ws.x_w);
-        }
+        ws.x.clear();
+        ws.x.extend_from_slice(&ws.b_eff);
+        ws.bf.ftran(&mut ws.x);
         let mut b_scale = 0.0f64;
-        for i in 0..m {
-            if ws.x_f[i].abs() > REUSE_HEALTH_LIMIT {
+        for &v in &ws.x {
+            if v.abs() > REUSE_HEALTH_LIMIT {
                 trace("health");
                 return ReuseOutcome::Fallback;
             }
-            if ws.x_w[i].abs() <= INF_W_TOL {
-                ws.x_w[i] = 0.0;
-            }
-            // Rows with x_w ≠ 0 sit at ±∞ in the big-M reading of the
-            // infinite span rows. A −∞ row (a branch just turned this
-            // variable's span finite) is simply the most negative leaving
-            // candidate of the dual repair; +∞ rows usually cancel back to
-            // finite once the negative rows are repaired. Irreparable
-            // leftovers (±∞ on structural or artificial rows) are caught by
-            // the post-repair validation below.
-            if ws.x_w[i] == 0.0 {
-                b_scale = b_scale.max(ws.x_f[i].abs());
-            }
+            b_scale = b_scale.max(v.abs());
         }
         ws.b_scale = b_scale;
         let tol = FEAS_TOL * (1.0 + b_scale);
 
-        // Drift check: the factorization must still reproduce B·x_f = b_f.
-        // (The finite and infinite components are independent, so checking
-        // the finite part covers every row.) A failed check triggers one
-        // counted refresh; failing again means the basis is untrustworthy.
+        // Drift check: the factorization must still reproduce B·x = b_eff.
+        // A failed check triggers one counted refresh; failing again means
+        // the basis is untrustworthy.
         if !self.node_residual_ok()
             && (!self.refactor_and_recompute(true) || !self.node_residual_ok())
         {
@@ -1140,7 +1007,7 @@ impl<'a> RSolver<'a> {
         }
 
         for i in 0..m {
-            if self.ws.basis[i] >= sk.artificial_start && self.ws.x_f[i] > tol {
+            if self.ws.basis[i] >= sk.artificial_start && self.ws.x[i] > tol {
                 trace("art-pre");
                 return ReuseOutcome::Fallback;
             }
@@ -1155,34 +1022,23 @@ impl<'a> RSolver<'a> {
             }
         };
 
-        let sk = self.sk;
         for i in 0..m {
-            if self.ws.basis[i] >= sk.artificial_start
-                && (self.ws.x_f[i] > tol || self.ws.x_w[i] != 0.0)
-            {
+            if self.ws.basis[i] >= sk.artificial_start && self.ws.x[i] > tol {
                 trace("art-post");
-                return ReuseOutcome::Fallback;
-            }
-            // Repair pivots on −∞ rows can park a variable at +∞; that is
-            // fine for slacks (an unbinding row) but unrepresentable for
-            // structural variables.
-            if self.ws.basis[i] < sk.num_struct && self.ws.x_w[i] != 0.0 {
-                trace("struct-post");
                 return ReuseOutcome::Fallback;
             }
         }
         ReuseOutcome::Reused(pivots)
     }
 
-    /// `‖B·x_f − b_eff‖∞ ≤ tol` — does the factorized basis still
-    /// reproduce the (effective) node RHS it claims to solve? (`b_eff`
-    /// equals `b_f` bitwise outside bounded-variable mode.)
+    /// `‖B·x − b_eff‖∞ ≤ tol` — does the factorized basis still reproduce
+    /// the (effective) node RHS it claims to solve?
     fn node_residual_ok(&mut self) -> bool {
         let ws = &mut *self.ws;
         ws.resid.clear();
         ws.resid.extend_from_slice(&ws.b_eff);
         for (i, &b) in ws.basis.iter().enumerate() {
-            let x = ws.x_f[i];
+            let x = ws.x[i];
             if x != 0.0 {
                 ws.a.axpy_col(b, -x, &mut ws.resid);
             }
@@ -1194,18 +1050,15 @@ impl<'a> RSolver<'a> {
     /// Dual simplex repair: restore primal feasibility while keeping the
     /// phase-2 dual feasibility inherited from the last optimal solve.
     ///
-    /// In bounded-variable mode a basic value can violate either of its
-    /// bounds (`δ < 0` below lower, `δ > 0` above upper — the latter is how
-    /// a tightened branch bound surfaces after a status-flip warm start),
-    /// and nonbasic-at-upper columns join the ratio test with negated
-    /// signs. With dual steepest-edge enabled, leaving rows are ranked by
-    /// `δ²/γ` (reference framework: `γ = 1` at repair start, maintained by
-    /// the Forrest–Goldfarb update) instead of by worst violation.
+    /// A basic value can violate either of its bounds (`δ < 0` below lower,
+    /// `δ > 0` above upper — the latter is how a tightened branch bound
+    /// surfaces after a status-flip warm start), and nonbasic-at-upper
+    /// columns join the ratio test with negated signs. Leaving rows are
+    /// ranked by dual steepest edge, `δ²/γ`.
     fn dual_repair(&mut self, cap: usize) -> RepairResult {
         let sk = self.sk;
         let m = sk.m_total;
         let tol = FEAS_TOL * (1.0 + self.ws.b_scale);
-        let use_dse = self.ws.use_dse;
         // Exact Forrest–Goldfarb weight maintenance costs one extra FTRAN
         // per pivot. On every measured fig16/admission model (m ≤ 255) that
         // FTRAN cost more than the pivots the sharper weights saved, so up
@@ -1214,8 +1067,8 @@ impl<'a> RSolver<'a> {
         // is kept for very large bases, where one FTRAN amortizes over the
         // O(m) candidate rows it helps rank.
         const DSE_EXACT_MIN_ROWS: usize = 512;
-        let dse_exact = use_dse && m >= DSE_EXACT_MIN_ROWS;
-        if use_dse {
+        let dse_exact = m >= DSE_EXACT_MIN_ROWS;
+        {
             let ws = &mut *self.ws;
             ws.dse_gamma.clear();
             ws.dse_gamma.resize(m, 1.0);
@@ -1238,69 +1091,26 @@ impl<'a> RSolver<'a> {
 
         let mut pivots = 0usize;
         loop {
-            // Leaving row: any −∞ basic value first (most negative infinite
-            // weight, then most negative finite part as tie-break), else the
-            // worst finite bound violation. Selecting on (x_w, x_f)
-            // lexicographically is exactly the dual simplex rule for the
-            // big-M limit the split representation encodes; under DSE the
-            // violation is scored against the row's steepest-edge weight.
+            // Leaving row: the largest steepest-edge-scaled bound violation.
             let mut leave: Option<(usize, f64)> = None; // (row, δ)
             {
                 let ws = &*self.ws;
-                if use_dse {
-                    let any_inf = ws.x_w.iter().any(|&w| w < 0.0);
-                    let mut best_score = 0.0f64;
-                    for i in 0..m {
-                        let delta;
-                        if any_inf {
-                            if ws.x_w[i] >= 0.0 {
-                                continue;
-                            }
-                            delta = ws.x_w[i];
-                        } else if ws.x_w[i] != 0.0 {
-                            continue;
-                        } else if ws.x_f[i] < -tol {
-                            delta = ws.x_f[i];
+                let mut best_score = 0.0f64;
+                for i in 0..m {
+                    let delta = if ws.x[i] < -tol {
+                        ws.x[i]
+                    } else {
+                        let u = ws.col_upper[ws.basis[i]];
+                        if ws.x[i] > u + tol {
+                            ws.x[i] - u
                         } else {
-                            let u = ws.col_upper[ws.basis[i]];
-                            if ws.x_f[i] > u + tol {
-                                delta = ws.x_f[i] - u;
-                            } else {
-                                continue;
-                            }
-                        }
-                        let score = delta * delta / ws.dse_gamma[i];
-                        if score > best_score {
-                            best_score = score;
-                            leave = Some((i, delta));
-                        }
-                    }
-                } else {
-                    let mut best: Option<(f64, f64)> = None; // (weight, key)
-                    for i in 0..m {
-                        let (wgt, fin) = (ws.x_w[i], ws.x_f[i]);
-                        let (delta, key);
-                        if wgt < 0.0 {
-                            delta = wgt;
-                            key = fin;
-                        } else if wgt != 0.0 {
                             continue;
-                        } else if fin < -tol {
-                            delta = fin;
-                            key = fin;
-                        } else {
-                            let u = ws.col_upper[ws.basis[i]];
-                            if fin > u + tol {
-                                delta = fin - u;
-                                key = -(fin - u);
-                            } else {
-                                continue;
-                            }
                         }
-                        if best.is_none_or(|(bw, bk)| wgt < bw || (wgt == bw && key < bk)) {
-                            best = Some((wgt, key));
-                            leave = Some((i, delta));
-                        }
+                    };
+                    let score = delta * delta / ws.dse_gamma[i];
+                    if score > best_score {
+                        best_score = score;
+                        leave = Some((i, delta));
                     }
                 }
             }
@@ -1329,8 +1139,7 @@ impl<'a> RSolver<'a> {
             // Sign-aware dual ratio test: a candidate must move the leaving
             // value toward its violated bound while keeping every reduced
             // cost on its feasible side (`d ≥ 0` at lower, `d ≤ 0` at
-            // upper). With all columns at lower and `s = −1` this is the
-            // legacy `α < −tol`, `d/−α` test verbatim.
+            // upper).
             let mut enter: Option<(usize, f64)> = None;
             let mut saw_tiny_negative = false;
             for j in 0..sk.artificial_start {
@@ -1373,14 +1182,15 @@ impl<'a> RSolver<'a> {
                 ws.w.clear();
                 ws.w.resize(m, 0.0);
                 ws.a.scatter_col(q, &mut ws.w);
-                ws.bf.ftran(&mut ws.w);
+                ws.bf.ftran_entering(&mut ws.w);
                 if ws.w[r].abs() <= PIVOT_TOL {
                     // FTRAN disagrees with the BTRAN row badly enough that
                     // pivoting would be unsafe; let the cold path decide.
                     return RepairResult::GaveUp;
                 }
             }
-            let gamma_r = if dse_exact {
+            let gamma_r = self.ws.dse_gamma[r];
+            if dse_exact {
                 // Forrest–Goldfarb needs `τ = B⁻¹ρ_r`; `ws.y` still holds
                 // the row's BTRAN `ρ_r`, and the factors are still the
                 // pre-pivot ones here.
@@ -1388,22 +1198,12 @@ impl<'a> RSolver<'a> {
                 ws.dse_tau.clear();
                 ws.dse_tau.extend_from_slice(&ws.y);
                 ws.bf.ftran(&mut ws.dse_tau);
-                ws.dse_gamma[r]
-            } else if use_dse {
-                self.ws.dse_gamma[r]
-            } else {
-                0.0
-            };
-            let pivot_ok = if sk.is_bounded() {
-                let dir = if self.ws.at_upper[q] { -1.0 } else { 1.0 };
-                self.pivot_step(r, q, dir, delta > 0.0).is_ok()
-            } else {
-                self.pivot(r, q).is_ok()
-            };
-            if !pivot_ok {
+            }
+            let dir = if self.ws.at_upper[q] { -1.0 } else { 1.0 };
+            if self.pivot(r, q, dir, delta > 0.0).is_err() {
                 return RepairResult::GaveUp;
             }
-            if use_dse {
+            {
                 // Exact: γ'_i = γ_i − 2(w_i/w_r)τ_i + (w_i/w_r)²γ_r for
                 // i ≠ r, γ'_r = γ_r/w_r² — clamped positive against drift.
                 // Devex fallback: γ'_i = max(γ_i, (w_i/w_r)²γ_r), weights
@@ -1436,15 +1236,14 @@ impl<'a> RSolver<'a> {
         }
     }
 
-    /// `Σ cost[basis[i]] · x_f[i]` skipping zero-cost basic columns, so
-    /// inert infinite span slacks never pollute the sum. Columns nonbasic
-    /// at their upper bound (bounded-variable mode) contribute `c_j·u_j`.
+    /// `Σ cost[basis[i]] · x[i]` skipping zero-cost basic columns, plus
+    /// `c_j·u_j` for every column nonbasic at its upper bound.
     fn objective_for(&self, cost: &[f64]) -> f64 {
         let mut total = 0.0;
         for (i, &b) in self.ws.basis.iter().enumerate() {
             let cb = cost[b];
             if cb != 0.0 {
-                total += cb * self.ws.x_f[i];
+                total += cb * self.ws.x[i];
             }
         }
         for (j, &up) in self.ws.at_upper.iter().enumerate() {
@@ -1463,7 +1262,7 @@ impl<'a> RSolver<'a> {
         let mut std_values = vec![0.0; sk.num_struct];
         for (i, &b) in self.ws.basis.iter().enumerate() {
             if b < sk.num_struct {
-                std_values[b] = self.ws.x_f[i].max(0.0);
+                std_values[b] = self.ws.x[i].max(0.0);
             }
         }
         for (j, v) in std_values.iter_mut().enumerate() {
@@ -1484,138 +1283,22 @@ impl<'a> RSolver<'a> {
     }
 }
 
-// --- Checkpoint codec -------------------------------------------------------
-
-use crate::state::{Reader, StateError, Writer};
-
-impl RevisedWorkspace {
-    /// Checkpoint encoding. Every field travels as exact bytes — the
-    /// factorized basis and the accumulated eta/Forrest–Tomlin updates are
-    /// path-dependent floats a rebuild cannot reproduce. The address-based
-    /// `skeleton_tag` cannot survive a round-trip literally, so it is
-    /// encoded as "did it match `skeleton`?" and re-derived on decode from
-    /// the restored skeleton's new address.
-    pub(crate) fn encode_state(&self, skeleton: &StandardFormSkeleton, out: &mut Writer) {
-        self.a.encode_state(out);
-        out.seq(&self.triplets, |o, &(r, c, v)| {
-            o.usize(r);
-            o.usize(c);
-            o.f64(v);
-        });
-        self.bf.encode_state(out);
-        out.vec_usize(&self.basis);
-        out.vec_bool(&self.is_basic);
-        out.vec_f64(&self.b_f);
-        out.vec_f64(&self.b_w);
-        out.vec_f64(&self.x_f);
-        out.vec_f64(&self.x_w);
-        out.vec_f64(&self.shifts);
-        out.f64(self.obj_constant);
-        out.f64(self.b_scale);
-        out.bool(self.has_inf);
-        out.vec_f64(&self.fill_flip);
-        out.vec_f64(&self.phase1_cost);
-        out.vec_f64(&self.y);
-        out.vec_f64(&self.w);
-        out.vec_f64(&self.d);
-        out.vec_f64(&self.alpha);
-        out.vec_f64(&self.resid);
-        out.vec_usize(&self.candidates);
-        out.usize(self.refactor_after);
-        out.bool(self.force_bland);
-        out.bool(self.reusable);
-        out.bool(self.skeleton_tag == skeleton as *const StandardFormSkeleton as usize);
-        out.usize(self.warm_hits);
-        out.usize(self.warm_misses);
-        out.vec_f64(&self.col_upper);
-        out.vec_bool(&self.at_upper);
-        out.vec_f64(&self.b_eff);
-        out.vec_f64(&self.dse_gamma);
-        out.vec_f64(&self.dse_tau);
-        out.bool(self.use_dse);
-        out.usize(self.bound_flips);
-    }
-
-    /// Decodes a workspace checkpoint, binding the tag to `skeleton`'s
-    /// (new) address when the encoded state recorded a match.
-    pub(crate) fn decode_state(
-        r: &mut Reader<'_>,
-        skeleton: &StandardFormSkeleton,
-    ) -> Result<Self, StateError> {
-        let a = CscMatrix::decode_state(r)?;
-        let triplets = r.seq(|r| Ok((r.usize()?, r.usize()?, r.f64()?)))?;
-        let bf = BasisFactorization::decode_state(r)?;
-        let basis = r.vec_usize()?;
-        let is_basic = r.vec_bool()?;
-        let b_f = r.vec_f64()?;
-        let b_w = r.vec_f64()?;
-        let x_f = r.vec_f64()?;
-        let x_w = r.vec_f64()?;
-        let shifts = r.vec_f64()?;
-        let obj_constant = r.f64()?;
-        let b_scale = r.f64()?;
-        let has_inf = r.bool()?;
-        let fill_flip = r.vec_f64()?;
-        let phase1_cost = r.vec_f64()?;
-        let y = r.vec_f64()?;
-        let w = r.vec_f64()?;
-        let d = r.vec_f64()?;
-        let alpha = r.vec_f64()?;
-        let resid = r.vec_f64()?;
-        let candidates = r.vec_usize()?;
-        let refactor_after = r.usize()?;
-        let force_bland = r.bool()?;
-        let reusable = r.bool()?;
-        let tag_matched = r.bool()?;
-        let skeleton_tag = if tag_matched {
-            skeleton as *const StandardFormSkeleton as usize
-        } else {
-            0
-        };
-        Ok(Self {
-            a,
-            triplets,
-            bf,
-            basis,
-            is_basic,
-            b_f,
-            b_w,
-            x_f,
-            x_w,
-            shifts,
-            obj_constant,
-            b_scale,
-            has_inf,
-            fill_flip,
-            phase1_cost,
-            y,
-            w,
-            d,
-            alpha,
-            resid,
-            candidates,
-            refactor_after,
-            force_bland,
-            reusable,
-            skeleton_tag,
-            warm_hits: r.usize()?,
-            warm_misses: r.usize()?,
-            col_upper: r.vec_f64()?,
-            at_upper: r.vec_bool()?,
-            b_eff: r.vec_f64()?,
-            dse_gamma: r.vec_f64()?,
-            dse_tau: r.vec_f64()?,
-            use_dse: r.bool()?,
-            bound_flips: r.usize()?,
-        })
-    }
+/// A constraint row's RHS at this node: `base_rhs − Σ coef · shift[var]`
+/// (before the fill's row-sign convention is applied).
+fn node_rhs(row: &SkelRow, shifts: &[f64]) -> f64 {
+    row.base_rhs
+        - row
+            .terms
+            .iter()
+            .map(|&(var, coef)| coef * shifts[var])
+            .sum::<f64>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::{ConstraintOp, Problem, Sense};
-    use crate::simplex;
+    use crate::seed_baseline;
 
     fn bounds(p: &Problem) -> (Vec<f64>, Vec<f64>) {
         (
@@ -1624,30 +1307,32 @@ mod tests {
         )
     }
 
-    fn assert_matches_dense(p: &Problem) {
+    /// The production engine must agree with the frozen seed tableau on
+    /// the objective (or on the error class).
+    fn assert_matches_seed(p: &Problem) {
         let (lower, upper) = bounds(p);
-        let dense = simplex::solve_relaxation(p, &lower, &upper, 100_000);
-        let revised = solve_relaxation_revised(p, &lower, &upper, 100_000);
-        match (dense, revised) {
-            (Ok(d), Ok(r)) => {
+        let seed = seed_baseline::solve_relaxation(p, &lower, &upper, 100_000);
+        let revised = solve_relaxation(p, &lower, &upper, 100_000);
+        match (seed, revised) {
+            (Ok(s), Ok(r)) => {
                 assert!(
-                    (d.objective - r.objective).abs() < 1e-7,
-                    "dense {} vs revised {}",
-                    d.objective,
+                    (s.objective - r.objective).abs() < 1e-7,
+                    "seed {} vs revised {}",
+                    s.objective,
                     r.objective
                 );
             }
-            (Err(de), Err(re)) => assert_eq!(
-                std::mem::discriminant(&de),
+            (Err(se), Err(re)) => assert_eq!(
+                std::mem::discriminant(&se),
                 std::mem::discriminant(&re),
-                "dense {de:?} vs revised {re:?}"
+                "seed {se:?} vs revised {re:?}"
             ),
-            (d, r) => panic!("dense {d:?} vs revised {r:?}"),
+            (s, r) => panic!("seed {s:?} vs revised {r:?}"),
         }
     }
 
     #[test]
-    fn agrees_with_dense_on_small_lps() {
+    fn agrees_with_seed_on_small_lps() {
         // min 2x + 3y s.t. x + 2y >= 4, x + y <= 10.
         let mut p = Problem::new("t", Sense::Minimize);
         let x = p.add_var("x", 0.0, f64::INFINITY);
@@ -1655,7 +1340,7 @@ mod tests {
         p.set_objective([(x, 2.0), (y, 3.0)]);
         p.add_constraint("c1", [(x, 1.0), (y, 2.0)], ConstraintOp::Ge, 4.0);
         p.add_constraint("c2", [(x, 1.0), (y, 1.0)], ConstraintOp::Le, 10.0);
-        assert_matches_dense(&p);
+        assert_matches_seed(&p);
 
         // Maximization with equality and free variables.
         let mut q = Problem::new("t2", Sense::Maximize);
@@ -1663,22 +1348,22 @@ mod tests {
         let b = q.add_var("b", 0.0, 5.0);
         q.set_objective([(a, 1.0), (b, 2.0)]);
         q.add_constraint("e", [(a, 1.0), (b, 1.0)], ConstraintOp::Eq, 4.0);
-        assert_matches_dense(&q);
+        assert_matches_seed(&q);
     }
 
     #[test]
-    fn detects_infeasible_and_unbounded_like_dense() {
+    fn detects_infeasible_and_unbounded_like_seed() {
         let mut inf = Problem::new("inf", Sense::Minimize);
         let x = inf.add_var("x", 0.0, f64::INFINITY);
         inf.set_objective([(x, 1.0)]);
         inf.add_constraint("lo", [(x, 1.0)], ConstraintOp::Ge, 5.0);
         inf.add_constraint("hi", [(x, 1.0)], ConstraintOp::Le, 4.0);
-        assert_matches_dense(&inf);
+        assert_matches_seed(&inf);
 
         let mut unb = Problem::new("unb", Sense::Maximize);
         let y = unb.add_var("y", 0.0, f64::INFINITY);
         unb.set_objective([(y, 1.0)]);
-        assert_matches_dense(&unb);
+        assert_matches_seed(&unb);
     }
 
     #[test]
@@ -1703,7 +1388,7 @@ mod tests {
         );
         p.add_constraint("c3", [(x3, 1.0)], ConstraintOp::Le, 1.0);
         let (lower, upper) = bounds(&p);
-        let r = solve_relaxation_revised(&p, &lower, &upper, 100_000).unwrap();
+        let r = solve_relaxation(&p, &lower, &upper, 100_000).unwrap();
         assert!(
             (r.objective + 0.05).abs() < 1e-6,
             "objective {}",
@@ -1727,7 +1412,7 @@ mod tests {
         let (lower, upper) = bounds(&p);
         let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
         let mut ws = RevisedWorkspace::default();
-        let root = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+        let root = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
         assert_eq!(root.warm, WarmStart::Cold);
 
         for (var, lo, hi) in [(1usize, 0.0, 0.0), (1, 1.0, 1.0), (0, 1.0, 1.0)] {
@@ -1735,11 +1420,10 @@ mod tests {
             let mut u = upper.clone();
             l[var] = lo;
             u[var] = hi;
-            let warm = solve_with_skeleton_revised(&sk, &mut ws, &l, &u, Some(&root.basis), 10_000)
-                .unwrap();
+            let warm =
+                solve_with_skeleton(&sk, &mut ws, &l, &u, Some(&root.basis), 10_000).unwrap();
             let mut cold_ws = RevisedWorkspace::default();
-            let cold =
-                solve_with_skeleton_revised(&sk, &mut cold_ws, &l, &u, None, 10_000).unwrap();
+            let cold = solve_with_skeleton(&sk, &mut cold_ws, &l, &u, None, 10_000).unwrap();
             assert!(
                 (warm.objective - cold.objective).abs() < 1e-7,
                 "var {var} in [{lo},{hi}]: warm {} cold {}",
@@ -1754,73 +1438,9 @@ mod tests {
         assert!(factorizations >= 1);
     }
 
-    #[test]
-    fn infinite_span_rows_stay_inert_and_patchable() {
-        let mut p = Problem::new("inf-span", Sense::Minimize);
-        let x = p.add_int_var("x", 0.0, f64::INFINITY);
-        p.set_objective([(x, 1.0)]);
-        p.add_constraint("lb", [(x, 1.0)], ConstraintOp::Ge, 3.0);
-        let (lower, upper) = bounds(&p);
-        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-        let mut ws = RevisedWorkspace::default();
-        let r = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
-        assert!((r.objective - 3.0).abs() < 1e-6);
-        let r2 = solve_with_skeleton_revised(&sk, &mut ws, &lower, &[5.0], Some(&r.basis), 10_000)
-            .unwrap();
-        assert!((r2.objective - 3.0).abs() < 1e-6);
-        // Tightening below the optimum moves it.
-        let r3 = solve_with_skeleton_revised(
-            &sk,
-            &mut ws,
-            &[4.0],
-            &[f64::INFINITY],
-            Some(&r2.basis),
-            10_000,
-        )
-        .unwrap();
-        assert!((r3.objective - 4.0).abs() < 1e-6);
-    }
-
-    /// Solves `p` through a bounded-variable skeleton with the given update
-    /// and pricing flags, from a cold workspace.
-    fn solve_bounded_with(
-        p: &Problem,
-        lower: &[f64],
-        upper: &[f64],
-        ft: bool,
-        dse: bool,
-    ) -> Result<SimplexResult, LpError> {
-        let sk = StandardFormSkeleton::new_bounded(p, lower, upper)?;
-        let mut ws = RevisedWorkspace::default();
-        ws.configure(ft, dse);
-        solve_with_skeleton_revised(&sk, &mut ws, lower, upper, None, 100_000)
-    }
-
-    fn assert_bounded_matches_dense(p: &Problem) {
-        let (lower, upper) = bounds(p);
-        let dense = simplex::solve_relaxation(p, &lower, &upper, 100_000);
-        for (ft, dse) in [(false, false), (true, false), (false, true), (true, true)] {
-            let bounded = solve_bounded_with(p, &lower, &upper, ft, dse);
-            match (&dense, &bounded) {
-                (Ok(d), Ok(r)) => assert!(
-                    (d.objective - r.objective).abs() < 1e-7,
-                    "ft={ft} dse={dse}: dense {} vs bounded {}",
-                    d.objective,
-                    r.objective
-                ),
-                (Err(de), Err(re)) => assert_eq!(
-                    std::mem::discriminant(de),
-                    std::mem::discriminant(re),
-                    "ft={ft} dse={dse}: dense {de:?} vs bounded {re:?}"
-                ),
-                (d, r) => panic!("ft={ft} dse={dse}: dense {d:?} vs bounded {r:?}"),
-            }
-        }
-    }
-
     /// A fig16-class model: branchable doubly-bounded variables under shared
-    /// capacity rows. In the legacy skeleton every such variable needs a span
-    /// row; the bounded skeleton keeps only the structural constraints.
+    /// capacity rows. The skeleton keeps only the structural constraints;
+    /// every upper bound is an implicit column bound.
     fn fig16_class_model(vars: usize, rows: usize) -> Problem {
         let mut p = Problem::new("fig16-class", Sense::Maximize);
         let ids: Vec<_> = (0..vars)
@@ -1849,17 +1469,14 @@ mod tests {
     fn bounded_skeleton_eliminates_span_rows() {
         let p = fig16_class_model(12, 5);
         let (lower, upper) = bounds(&p);
-        let legacy = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-        let bounded = StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap();
-        // Every branchable doubly-bounded variable costs the legacy skeleton
-        // a span row; the bounded skeleton holds the structural rows only.
-        assert_eq!(legacy.num_rows(), 5 + 12);
-        assert_eq!(bounded.num_rows(), 5);
-        assert!(bounded.is_bounded() && !legacy.is_bounded());
+        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
+        // Twelve branchable doubly-bounded variables, and still only the
+        // five structural rows.
+        assert_eq!(sk.num_rows(), 5);
     }
 
     #[test]
-    fn bounded_mode_agrees_with_dense_on_doubly_bounded_lps() {
+    fn bounded_mode_agrees_with_seed_on_doubly_bounded_lps() {
         // Doubly-bounded variables with binding upper bounds at the optimum.
         let mut p = Problem::new("bx", Sense::Maximize);
         let x = p.add_var("x", 0.0, 5.0);
@@ -1867,7 +1484,7 @@ mod tests {
         let z = p.add_var("z", 1.0, 9.0);
         p.set_objective([(x, 3.0), (y, 2.0), (z, 1.0)]);
         p.add_constraint("c", [(x, 1.0), (y, 1.0), (z, 2.0)], ConstraintOp::Le, 14.0);
-        assert_bounded_matches_dense(&p);
+        assert_matches_seed(&p);
 
         // Free variable plus a mirrored (upper-bounded-only) variable.
         let mut q = Problem::new("free", Sense::Minimize);
@@ -1876,39 +1493,39 @@ mod tests {
         q.set_objective([(a, 1.0), (b, -1.0)]);
         q.add_constraint("e", [(a, 1.0), (b, 1.0)], ConstraintOp::Eq, 4.0);
         q.add_constraint("g", [(a, 1.0), (b, -1.0)], ConstraintOp::Ge, -2.0);
-        assert_bounded_matches_dense(&q);
+        assert_matches_seed(&q);
 
         // Infeasible and unbounded instances keep their classification.
         let mut inf = Problem::new("inf", Sense::Minimize);
         let v = inf.add_var("v", 0.0, 3.0);
         inf.set_objective([(v, 1.0)]);
         inf.add_constraint("lo", [(v, 1.0)], ConstraintOp::Ge, 5.0);
-        assert_bounded_matches_dense(&inf);
+        assert_matches_seed(&inf);
 
         let mut unb = Problem::new("unb", Sense::Maximize);
         let w = unb.add_var("w", 0.0, f64::INFINITY);
         let u = unb.add_var("u", 0.0, 2.0);
         unb.set_objective([(w, 1.0), (u, 1.0)]);
         unb.add_constraint("c", [(u, 1.0)], ConstraintOp::Le, 2.0);
-        assert_bounded_matches_dense(&unb);
+        assert_matches_seed(&unb);
 
-        assert_bounded_matches_dense(&fig16_class_model(9, 4));
+        assert_matches_seed(&fig16_class_model(9, 4));
     }
 
     #[test]
     fn bound_flips_replace_span_pivots() {
         // Both upper bounds are slack against the capacity row, so the
-        // bounded engine reaches the optimum by flipping x and y to their
-        // upper bounds instead of pivoting through span rows.
+        // engine reaches the optimum by flipping x and y to their upper
+        // bounds without a single basis change.
         let mut p = Problem::new("flip", Sense::Maximize);
         let x = p.add_var("x", 0.0, 5.0);
         let y = p.add_var("y", 0.0, 4.0);
         p.set_objective([(x, 3.0), (y, 2.0)]);
         p.add_constraint("c", [(x, 1.0), (y, 1.0)], ConstraintOp::Le, 20.0);
         let (lower, upper) = bounds(&p);
-        let sk = StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap();
+        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
         let mut ws = RevisedWorkspace::default();
-        let r = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+        let r = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
         assert!(
             (r.objective - 23.0).abs() < 1e-7,
             "objective {}",
@@ -1943,11 +1560,9 @@ mod tests {
             );
         }
         let (lower, upper) = bounds(&p);
-        let sk = StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap();
+        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
         let mut ws = RevisedWorkspace::default();
-        ws.configure(true, true);
-        let root =
-            solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 100_000).unwrap();
+        let root = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 100_000).unwrap();
         // Tighten a handful of upper bounds: the warm start flips statuses
         // and the ensuing violations drive the exact-weight dual repair.
         let mut u = upper.clone();
@@ -1955,11 +1570,9 @@ mod tests {
             u[i] = 1.0;
         }
         let warm =
-            solve_with_skeleton_revised(&sk, &mut ws, &lower, &u, Some(&root.basis), 100_000)
-                .unwrap();
+            solve_with_skeleton(&sk, &mut ws, &lower, &u, Some(&root.basis), 100_000).unwrap();
         let mut cold_ws = RevisedWorkspace::default();
-        let cold =
-            solve_with_skeleton_revised(&sk, &mut cold_ws, &lower, &u, None, 100_000).unwrap();
+        let cold = solve_with_skeleton(&sk, &mut cold_ws, &lower, &u, None, 100_000).unwrap();
         assert!(
             (warm.objective - cold.objective).abs() < 1e-6 * (1.0 + cold.objective.abs()),
             "warm {} vs cold {}",
@@ -1974,10 +1587,9 @@ mod tests {
     fn bounded_warm_start_branching_is_a_status_flip() {
         let p = fig16_class_model(8, 3);
         let (lower, upper) = bounds(&p);
-        let sk = StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap();
+        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
         let mut ws = RevisedWorkspace::default();
-        ws.configure(true, true);
-        let root = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+        let root = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
         assert_eq!(root.warm, WarmStart::Cold);
 
         let mut basis = root.basis;
@@ -1995,14 +1607,13 @@ mod tests {
             // Tightened child bounds reach the engine as implicit column
             // bounds — no RHS patch, no skeleton rebuild.
             assert!(sk.compatible(&l, &u));
-            let warm =
-                solve_with_skeleton_revised(&sk, &mut ws, &l, &u, Some(&basis), 10_000).unwrap();
-            let dense = simplex::solve_relaxation(&p, &l, &u, 10_000).unwrap();
+            let warm = solve_with_skeleton(&sk, &mut ws, &l, &u, Some(&basis), 10_000).unwrap();
+            let seed = seed_baseline::solve_relaxation(&p, &l, &u, 10_000).unwrap();
             assert!(
-                (warm.objective - dense.objective).abs() < 1e-6,
-                "var {var} in [{lo},{hi}]: warm {} dense {}",
+                (warm.objective - seed.objective).abs() < 1e-6,
+                "var {var} in [{lo},{hi}]: warm {} seed {}",
                 warm.objective,
-                dense.objective
+                seed.objective
             );
             basis = warm.basis;
         }
@@ -2030,13 +1641,12 @@ mod tests {
         let (lower, upper) = bounds(&p);
         let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
         let mut ws = RevisedWorkspace::default();
-        let reference = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000)
+        let reference = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000)
             .unwrap()
             .objective;
-        let mut last_basis =
-            solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000)
-                .unwrap()
-                .basis;
+        let mut last_basis = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000)
+            .unwrap()
+            .basis;
         for round in 0..300 {
             let var = round % vars.len();
             let mut l = lower.clone();
@@ -2047,8 +1657,7 @@ mod tests {
             } else {
                 l[var] = 0.0;
             }
-            let r = solve_with_skeleton_revised(&sk, &mut ws, &l, &u, Some(&last_basis), 10_000)
-                .unwrap();
+            let r = solve_with_skeleton(&sk, &mut ws, &l, &u, Some(&last_basis), 10_000).unwrap();
             assert!(
                 (r.objective - reference).abs() < 1e-6,
                 "round {round}: {} vs {reference}",

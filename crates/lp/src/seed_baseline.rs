@@ -1,12 +1,14 @@
 //! The *seed* simplex implementation, preserved verbatim as a measurable
-//! baseline for the rearchitected solver in [`crate::simplex`].
+//! baseline and frozen oracle for the production solver in
+//! [`crate::revised`].
 //!
 //! This is the straightforward `Vec<Vec<f64>>` tableau with a full
-//! standard-form rebuild on every call. `SolveOptions::seed_baseline`
-//! routes branch & bound through it so benchmarks (and the committed
-//! `BENCH_solver.json`) can report an honest before/after comparison on
-//! identical search trees. Do not optimize this module — its value is
-//! being the fixed reference point.
+//! standard-form rebuild on every call. `SolveOptions { engine:
+//! Engine::SeedBaseline, .. }` routes branch & bound through it so
+//! benchmarks (and the committed `BENCH_solver.json`) can report an honest
+//! before/after comparison, and the equivalence tests have an independent
+//! reference. Do not optimize this module — its value is being the fixed
+//! reference point.
 #![allow(clippy::needless_range_loop)]
 
 use crate::error::LpError;

@@ -35,22 +35,20 @@ pub struct SolveStats {
     #[serde(default)]
     pub warm_start_misses: usize,
     /// LU factorizations of the simplex basis (revised engine only; 0 for
-    /// the tableau engines, which carry the basis inverse in the tableau).
+    /// the seed tableau, which carries the basis inverse in the tableau).
     #[serde(default)]
     pub basis_factorizations: usize,
     /// The subset of `basis_factorizations` triggered mid-stream by the
-    /// eta-file limit or a drift check — the revised engine's refresh
-    /// policy, replacing the dense engine's blind `REUSE_REFRESH` refill.
+    /// update limit or a drift check — the revised engine's refresh policy.
     #[serde(default)]
     pub basis_refactorizations: usize,
     /// Bound flips performed by the bounded-variable ratio test: the
     /// entering variable hit its own opposite bound before any basic
     /// variable blocked, so its status flipped with no basis change.
-    /// Always 0 unless `SolveOptions::bounded_variables` is on.
     #[serde(default)]
     pub bound_flips: usize,
-    /// Forrest–Tomlin factor updates applied in place of product-form eta
-    /// appends. Always 0 unless `SolveOptions::forrest_tomlin` is on.
+    /// Forrest–Tomlin factor updates (one per basis change between
+    /// refactorizations).
     #[serde(default)]
     pub ft_updates: usize,
 }

@@ -1,9 +1,9 @@
 //! Compressed-sparse-column (CSC) matrix for the revised simplex engine.
 //!
 //! Conductor's planning models are ~95 % sparse: each constraint touches a
-//! handful of the per-interval variables. The dense tableau engine pays
-//! O(m·cols) per pivot regardless; the revised engine keeps the constraint
-//! matrix in CSC form so FTRAN/BTRAN/pricing all cost O(nnz) instead.
+//! handful of the per-interval variables. A dense tableau pays O(m·cols)
+//! per pivot regardless; the revised engine keeps the constraint matrix in
+//! CSC form so FTRAN/BTRAN/pricing all cost O(nnz) instead.
 //!
 //! The matrix is assembled from a triplet scratch buffer with a counting
 //! sort (no comparison sort, no per-column allocation), and every buffer is
@@ -105,29 +105,6 @@ impl CscMatrix {
         for (&r, &v) in idx.iter().zip(val) {
             x[r] += factor * v;
         }
-    }
-
-    /// Checkpoint encoding. `cursor` is scratch that [`CscMatrix::assemble`]
-    /// fully rebuilds, so only the matrix itself travels.
-    pub(crate) fn encode_state(&self, w: &mut crate::state::Writer) {
-        w.usize(self.rows);
-        w.usize(self.cols);
-        w.vec_usize(&self.col_ptr);
-        w.vec_usize(&self.row_idx);
-        w.vec_f64(&self.values);
-    }
-
-    pub(crate) fn decode_state(
-        r: &mut crate::state::Reader<'_>,
-    ) -> Result<Self, crate::state::StateError> {
-        Ok(Self {
-            rows: r.usize()?,
-            cols: r.usize()?,
-            col_ptr: r.vec_usize()?,
-            row_idx: r.vec_usize()?,
-            values: r.vec_f64()?,
-            cursor: Vec::new(),
-        })
     }
 }
 

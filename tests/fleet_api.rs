@@ -169,8 +169,9 @@ fn batch_and_incremental_drivers_agree_bitwise_on_the_churn_fixture() {
 #[test]
 fn batch_and_incremental_drivers_agree_bitwise_on_the_storm_fixture() {
     // Revocation-storm fixture (mirrors tests/revocation.rs): a [2, 4)
-    // blackout over one tenant, and a two-tenant storm with a rescue.
-    let service = storm_service(storm_prices(48, 2, 4), 0.34, 100);
+    // blackout over one tenant whose 8-node cap leaves no storm-free
+    // schedule, and a two-tenant storm with a rescue.
+    let service = storm_service(storm_prices(48, 2, 4), 0.34, 8);
     let requests = [request("victim", 0.0, 12.0)];
     let batch = service.run(&requests).unwrap();
     let online = run_fleet_online(&service, &requests);

@@ -2,7 +2,9 @@
 //! the LP solver, the billing rules, the spot traces and the storage layer.
 
 use conductor_cloud::{BillingAccount, Catalog, SpotMarket, SpotTrace, TraceKind};
-use conductor_lp::{ConstraintOp, Engine, LpError, Problem, Sense, SolveOptions};
+use conductor_lp::{
+    ConstraintOp, Engine, LpError, Problem, Sense, Solution, SolveContext, SolveOptions, SolveStats,
+};
 use conductor_storage::{BlockKey, FileSystemShim, InMemoryBackend, StorageClient};
 use proptest::prelude::*;
 
@@ -89,9 +91,10 @@ fn sparse_random_mip(
 }
 
 /// Builds a doubly-bounded MIP: every integer variable carries a nonzero
-/// lower bound *and* a finite upper bound (the bounded-variable engine
-/// handles both implicitly, without span rows), plus `free_vars` free
-/// continuous variables that only the constraint rows keep in check.
+/// lower bound *and* a finite upper bound (the production engine handles
+/// both implicitly, as column bounds), plus `free_vars` free continuous
+/// variables that only the constraint rows keep in check. With no `caps`
+/// the instance is box-only: zero constraint rows and no free variables.
 fn doubly_bounded_mip(
     values: &[f64],
     lows: &[usize],
@@ -100,6 +103,7 @@ fn doubly_bounded_mip(
     free_vars: usize,
 ) -> Problem {
     let n = values.len().min(lows.len()).min(spans.len()).max(1);
+    let free_vars = if caps.is_empty() { 0 } else { free_vars };
     let mut p = Problem::new("dbl-mip", Sense::Maximize);
     let mut lo_mass = 0.0;
     let ints: Vec<_> = (0..n)
@@ -145,62 +149,37 @@ fn doubly_bounded_mip(
 }
 
 /// The solver configurations the cross-engine battery exercises: the seed
-/// baseline, the dense engine (warm and cold), and the revised engine over
-/// the full flag matrix — bounded-variables × Forrest–Tomlin × dual
-/// steepest-edge, each on both the warm and the cold path.
+/// oracle and the production engine on its warm and its cold path.
 fn engine_configs() -> Vec<(String, SolveOptions)> {
-    let mut cfgs: Vec<(String, SolveOptions)> = vec![
-        (
-            "seed".into(),
-            SolveOptions {
-                engine: Engine::SeedBaseline,
-                ..Default::default()
-            },
-        ),
-        (
-            "dense-warm".into(),
-            SolveOptions {
-                engine: Engine::DenseTableau,
-                warm_start: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "dense-cold".into(),
-            SolveOptions {
-                engine: Engine::DenseTableau,
-                warm_start: false,
-                ..Default::default()
-            },
-        ),
-    ];
-    for warm_start in [true, false] {
-        for bounded_variables in [false, true] {
-            for forrest_tomlin in [false, true] {
-                for dual_steepest_edge in [false, true] {
-                    let label = format!(
-                        "revised-{}{}{}{}",
-                        if warm_start { "warm" } else { "cold" },
-                        if bounded_variables { "+bv" } else { "" },
-                        if forrest_tomlin { "+ft" } else { "" },
-                        if dual_steepest_edge { "+dse" } else { "" },
-                    );
-                    cfgs.push((
-                        label,
-                        SolveOptions {
-                            engine: Engine::RevisedSparse,
-                            warm_start,
-                            bounded_variables,
-                            forrest_tomlin,
-                            dual_steepest_edge,
-                            ..Default::default()
-                        },
-                    ));
-                }
-            }
+    let with = |engine: Engine, warm_start: bool| SolveOptions {
+        engine,
+        warm_start,
+        ..Default::default()
+    };
+    vec![
+        ("seed".into(), with(Engine::SeedBaseline, false)),
+        ("production-warm".into(), with(Engine::RevisedSparse, true)),
+        ("production-cold".into(), with(Engine::RevisedSparse, false)),
+    ]
+}
+
+/// Everything a solve reports except the wall-clock time, as bits.
+fn solve_fingerprint(r: &Result<Solution, LpError>) -> String {
+    match r {
+        Ok(sol) => {
+            let stats = SolveStats {
+                solve_time: Default::default(),
+                ..*sol.stats()
+            };
+            let values: Vec<u64> = sol.values().iter().map(|v| v.to_bits()).collect();
+            format!(
+                "{:?} {} {values:?} {stats:?}",
+                sol.status(),
+                sol.objective().to_bits()
+            )
         }
+        Err(e) => format!("{e:?}"),
     }
-    cfgs
 }
 
 proptest! {
@@ -281,8 +260,9 @@ proptest! {
         prop_assert!(sol.objective() <= lp + 1e-6);
     }
 
-    /// The three engines (on both warm and cold paths) reach the same
-    /// objective within the configured relative gap on randomized MIPs.
+    /// The seed oracle and the production engine (on both its warm and its
+    /// cold path) reach the same objective within the configured relative
+    /// gap on randomized MIPs.
     #[test]
     fn warm_cold_and_seed_solvers_agree_on_random_mips(
         values in proptest::collection::vec(0.5f64..9.5, 2..7),
@@ -307,10 +287,10 @@ proptest! {
     }
 
     /// Cross-engine equivalence battery on *sparse* MIPs (controlled
-    /// density, degenerate duplicated rows, unbounded spans): seed, dense
-    /// and revised — warm and cold paths both — must agree on status, on the
-    /// objective to 1e-6 (all solve to a zero gap) and on the integer
-    /// assignment itself.
+    /// density, degenerate duplicated rows, unbounded upper bounds): the
+    /// seed oracle and the production engine — warm and cold paths both —
+    /// must agree on status, on the objective to 1e-6 (all solve to a zero
+    /// gap) and on the integer assignment itself.
     #[test]
     fn engine_battery_agrees_on_sparse_mips(
         values in proptest::collection::vec(0.5f64..9.5, 3..9),
@@ -352,16 +332,17 @@ proptest! {
     }
 
     /// The same cross-engine battery on doubly-bounded, free-variable-heavy
-    /// instances — the shapes the bounded-variable mode rewrites most
-    /// aggressively (every integer variable's two finite bounds become one
-    /// implicit column bound; free variables stay split). Status, objective
-    /// and assignment must agree across the whole flag matrix.
+    /// and box-only instances — the shapes the implicit column bounds
+    /// rewrite most aggressively (every integer variable's two finite
+    /// bounds become one column bound; free variables stay split; a
+    /// box-only instance has no constraint row at all). Status, objective
+    /// and assignment must agree across every configuration.
     #[test]
     fn engine_battery_agrees_on_doubly_bounded_mips(
         values in proptest::collection::vec(0.5f64..9.5, 2..7),
         lows in proptest::collection::vec(0usize..4, 2..7),
         spans in proptest::collection::vec(0usize..4, 2..7),
-        caps in proptest::collection::vec(4.0f64..25.0, 1..4),
+        caps in proptest::collection::vec(4.0f64..25.0, 0..4),
         free_vars in 0usize..3,
     ) {
         let p = doubly_bounded_mip(&values, &lows, &spans, &caps, free_vars);
@@ -427,6 +408,62 @@ proptest! {
         }
     }
 
+    /// History-freedom: solving a random sequence of problems — sparse
+    /// MIPs, box-only (zero-row) MIPs and LPs, and infeasible instances —
+    /// through one shared context, with plan-cache probes interleaved,
+    /// returns bit-for-bit what a fresh solve of each problem returns:
+    /// objective, values, status, node count and every work counter.
+    #[test]
+    fn solve_with_context_is_bitwise_equal_to_solve(
+        kinds in proptest::collection::vec(0usize..4, 2..7),
+        values in proptest::collection::vec(0.5f64..9.5, 4..7),
+        weights in proptest::collection::vec(0.2f64..4.0, 4..7),
+        caps in proptest::collection::vec(4.0f64..25.0, 1..3),
+        lows in proptest::collection::vec(0usize..3, 4..7),
+        probe in any::<bool>(),
+    ) {
+        let problems: Vec<Problem> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| {
+                // Shift the data per position so look-alikes differ in
+                // RHS and objective but keep their layout.
+                let scaled: Vec<f64> = values.iter().map(|v| v + i as f64 * 0.25).collect();
+                match kind {
+                    0 => random_mip(&scaled, &weights, &caps),
+                    1 => doubly_bounded_mip(&scaled, &lows, &lows, &[], 0),
+                    2 => {
+                        let mut lp = Problem::new("box-lp", Sense::Maximize);
+                        let vars: Vec<_> = scaled
+                            .iter()
+                            .enumerate()
+                            .map(|(j, _)| lp.add_var(format!("x{j}"), -1.0, 1.0 + j as f64))
+                            .collect();
+                        lp.set_objective(vars.iter().zip(&scaled).map(|(&v, &c)| (v, c - 5.0)));
+                        lp
+                    }
+                    _ => {
+                        // Relaxation feasible, no integer point.
+                        let mut p = random_mip(&scaled, &weights, &caps);
+                        let odd = p.add_int_var("odd", 0.0, 10.0);
+                        p.add_constraint("odd", [(odd, 2.0)], ConstraintOp::Eq, 3.0);
+                        p
+                    }
+                }
+            })
+            .collect();
+        let opts = SolveOptions::default();
+        let mut ctx = SolveContext::new();
+        for (i, p) in problems.iter().enumerate() {
+            if probe {
+                let _ = ctx.relaxation_bound(p, opts.max_simplex_iterations);
+            }
+            let shared = solve_fingerprint(&p.solve_with_context(&opts, &mut ctx));
+            let fresh = solve_fingerprint(&p.solve_with(&opts));
+            prop_assert_eq!(shared, fresh, "problem {} (kind {})", i, kinds[i]);
+        }
+    }
+
     /// Crossed bound overrides (as produced by branching) are always reported
     /// as infeasible, never solved to a bogus optimum.
     #[test]
@@ -439,7 +476,7 @@ proptest! {
         p.set_objective([(x, 1.0)]);
         let lower = vec![lo];
         let upper = vec![lo - delta];
-        let r = conductor_lp::simplex::solve_relaxation(&p, &lower, &upper, 1_000);
+        let r = conductor_lp::revised::solve_relaxation(&p, &lower, &upper, 1_000);
         prop_assert!(matches!(r, Err(LpError::Infeasible)));
     }
 

@@ -89,12 +89,13 @@ fn incremental_residual_survives_storms_replans_and_cancels() {
         let prices: Vec<f64> = (0..48)
             .map(|t| if (2..4).contains(&t) { 0.5 } else { 0.2 })
             .collect();
-        // Cap 100 and a 12 h deadline force the lone victim to rent
-        // through the blackout (the pinned fleet_api storm scenario), so
-        // the revocation genuinely fires.
-        let service = storm_service(prices, 0.34, 100);
+        // Cap 30 and a 6 h deadline leave the victim no storm-free
+        // schedule, so it rents through the blackout and the revocation
+        // genuinely fires — while its peak stays below the cap, leaving
+        // residual capacity for the newcomers.
+        let service = storm_service(prices, 0.34, 30);
         let mut fleet = service.open().expect("storm fixture is valid");
-        fleet.submit(request("victim", 0.0, 12.0)).unwrap();
+        fleet.submit(request("victim", 0.0, 6.0)).unwrap();
         // Step past the [2, 4) blackout: the victim's remaining schedule
         // has been recovery-shifted and re-planned (two epoch bumps).
         fleet.step_until(5.0);

@@ -70,34 +70,6 @@ fn canonical_json(report: &conductor_core::FleetReport) -> String {
     serde_json::to_string(&v).unwrap()
 }
 
-/// [`canonical_json`] with the `plan` and `planning` payloads removed as
-/// well. Branch & bound under a relative gap may certify *different
-/// equally-priced* plans depending on the warm-start history of the
-/// solver context that ran the solve — and a shard's context sees only
-/// its own tenants' solves, so its history differs from the unsharded
-/// fleet's. What sharding must preserve bit for bit is the fleet
-/// *semantics*: admissions, rejections, executions (node schedules, task
-/// timelines), bills, retry chains and event hours — everything else in
-/// the report.
-fn canonical_semantics_json(report: &conductor_core::FleetReport) -> String {
-    fn strip(v: &mut serde_json::Json) {
-        match v {
-            serde_json::Json::Object(fields) => {
-                fields.retain(|(k, _)| k != "plan" && k != "planning");
-                for (_, child) in fields.iter_mut() {
-                    strip(child);
-                }
-            }
-            serde_json::Json::Array(items) => items.iter_mut().for_each(strip),
-            _ => {}
-        }
-    }
-    let rendered = serde_json::to_string(report).unwrap();
-    let mut v = serde_json::parse(&rendered).unwrap();
-    strip(&mut v);
-    serde_json::to_string(&v).unwrap()
-}
-
 fn temp_wal(tag: &str) -> std::path::PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -113,8 +85,10 @@ fn temp_wal(tag: &str) -> std::path::PathBuf {
 
 /// With the rebalancer off and an uncontended pool, sharding is pure
 /// bookkeeping: the same seeded churn workload produces the identical
-/// merged report at N=1 and N=4 — same per-tenant outcomes, same bills,
-/// bit for bit.
+/// merged report at N=1 and N=4 — same per-tenant outcomes, plans, solver
+/// telemetry and bills, bit for bit. (Every branch & bound solve is
+/// history-free, so a shard's solver seeing only its own tenants changes
+/// nothing.)
 #[test]
 fn n1_and_n4_merged_reports_match_without_rebalancer() {
     let requests = churn_requests(20_260_729, 12, 0.5);
@@ -127,10 +101,7 @@ fn n1_and_n4_merged_reports_match_without_rebalancer() {
     let report_one = one.report();
     let report_four = four.report();
     assert_eq!(report_one.tenants.len(), requests.len());
-    assert_eq!(
-        canonical_semantics_json(&report_one),
-        canonical_semantics_json(&report_four)
-    );
+    assert_eq!(canonical_json(&report_one), canonical_json(&report_four));
     assert!(
         (one.fleet_bill() - four.fleet_bill()).abs() < 1e-9,
         "bills diverged: {} vs {}",

@@ -1,14 +1,14 @@
-//! Fixed regression instances for the LP/MIP solver rework: the
-//! infeasible / unbounded / iteration-limit error paths, agreement between
-//! the warm-started, cold and seed-baseline configurations, and the
-//! skeleton/warm-start machinery exposed by `conductor_lp::simplex`.
+//! Fixed regression instances for the LP/MIP solver: the infeasible /
+//! unbounded / iteration-limit error paths, agreement between the
+//! warm-started, cold and seed-baseline configurations, and the
+//! skeleton/warm-start machinery exposed by `conductor_lp::revised`.
 
-use conductor_lp::lu::eta_limit;
-use conductor_lp::revised::{solve_with_skeleton_revised, RevisedWorkspace};
-use conductor_lp::simplex::{solve_with_skeleton, WarmStart};
+use conductor_lp::lu::update_limit;
+use conductor_lp::revised::{solve_with_skeleton, RevisedWorkspace};
+use conductor_lp::seed_baseline;
+use conductor_lp::simplex::WarmStart;
 use conductor_lp::{
-    ConstraintOp, Engine, LpError, Problem, Sense, SimplexWorkspace, SolveOptions,
-    StandardFormSkeleton,
+    ConstraintOp, Engine, LpError, Problem, Sense, SolveOptions, StandardFormSkeleton,
 };
 use std::time::Duration;
 
@@ -19,9 +19,9 @@ fn bounds(p: &Problem) -> (Vec<f64>, Vec<f64>) {
     )
 }
 
-/// All solver configurations (three engines; warm and cold paths for the
-/// two skeleton-based ones), tightest gap.
-fn configs() -> [(&'static str, SolveOptions); 5] {
+/// All solver configurations (the production engine's warm and cold paths
+/// and the seed oracle), tightest gap.
+fn configs() -> [(&'static str, SolveOptions); 3] {
     let exact = SolveOptions {
         relative_gap: 0.0,
         ..Default::default()
@@ -32,10 +32,8 @@ fn configs() -> [(&'static str, SolveOptions); 5] {
         ..exact.clone()
     };
     [
-        ("revised-warm", with(Engine::RevisedSparse, true)),
-        ("revised-cold", with(Engine::RevisedSparse, false)),
-        ("dense-warm", with(Engine::DenseTableau, true)),
-        ("dense-cold", with(Engine::DenseTableau, false)),
+        ("production-warm", with(Engine::RevisedSparse, true)),
+        ("production-cold", with(Engine::RevisedSparse, false)),
         ("seed", with(Engine::SeedBaseline, true)),
     ]
 }
@@ -175,7 +173,7 @@ fn warm_and_cold_agree_on_branching_children() {
     p.add_constraint("r2", [(a, 1.0), (b, 1.0)], ConstraintOp::Ge, 1.0);
     let (lower, upper) = bounds(&p);
     let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-    let mut ws = SimplexWorkspace::default();
+    let mut ws = RevisedWorkspace::default();
     let root = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
 
     // Sweep bound overrides a branch-and-bound run could produce.
@@ -191,7 +189,7 @@ fn warm_and_cold_agree_on_branching_children() {
         l[var] = lo;
         u[var] = hi;
         let warm = solve_with_skeleton(&sk, &mut ws, &l, &u, Some(&root.basis), 10_000);
-        let mut cold_ws = SimplexWorkspace::default();
+        let mut cold_ws = RevisedWorkspace::default();
         let cold = solve_with_skeleton(&sk, &mut cold_ws, &l, &u, None, 10_000);
         match (warm, cold) {
             (Ok(w), Ok(c)) => {
@@ -218,7 +216,7 @@ fn warm_start_outcomes_are_reported() {
     p.add_constraint("lo", [(x, 2.0)], ConstraintOp::Ge, 7.0);
     let (lower, upper) = bounds(&p);
     let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-    let mut ws = SimplexWorkspace::default();
+    let mut ws = RevisedWorkspace::default();
     let first = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
     assert_eq!(first.warm, WarmStart::Cold);
     let again =
@@ -262,12 +260,11 @@ fn degenerate_instances_terminate() {
 }
 
 /// Long-horizon drift regression for the revised engine: thousands of
-/// consecutive warm reuses through one `RevisedWorkspace` — far beyond the
-/// dense engine's retired 32-reuse `REUSE_REFRESH` ceiling — must stay
-/// within the stale-state tolerance (1e-6) of an independent cold dense
-/// solve of every node, with the factorization *refresh policy* (periodic
-/// refactorization on the eta limit plus the per-reuse residual check) as
-/// the only safety mechanism.
+/// consecutive warm reuses through one `RevisedWorkspace` must stay within
+/// the stale-state tolerance (1e-6) of an independent seed-tableau solve of
+/// every node, with the factorization *refresh policy* (periodic
+/// refactorization on the update limit plus the per-reuse residual check)
+/// as the only safety mechanism.
 #[test]
 fn revised_warm_reuse_never_drifts_over_thousands_of_reuses() {
     let mut p = Problem::new("drift-horizon", Sense::Maximize);
@@ -294,9 +291,7 @@ fn revised_warm_reuse_never_drifts_over_thousands_of_reuses() {
     let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
 
     let mut revised = RevisedWorkspace::default();
-    let mut dense_ref = SimplexWorkspace::default();
-    let root =
-        solve_with_skeleton_revised(&sk, &mut revised, &lower, &upper, None, 100_000).unwrap();
+    let root = solve_with_skeleton(&sk, &mut revised, &lower, &upper, None, 100_000).unwrap();
     let mut last_basis = root.basis;
     let mut total_iterations = root.iterations;
 
@@ -310,16 +305,15 @@ fn revised_warm_reuse_never_drifts_over_thousands_of_reuses() {
         let mut hi = upper.clone();
         lo[var] = (round / 8 % 3) as f64;
         hi[var] = 3.0 + (round / 8 % 4) as f64;
-        let warm =
-            solve_with_skeleton_revised(&sk, &mut revised, &lo, &hi, Some(&last_basis), 100_000)
-                .unwrap_or_else(|e| panic!("round {round}: revised warm solve failed: {e:?}"));
-        let cold = solve_with_skeleton(&sk, &mut dense_ref, &lo, &hi, None, 100_000)
-            .unwrap_or_else(|e| panic!("round {round}: dense reference failed: {e:?}"));
+        let warm = solve_with_skeleton(&sk, &mut revised, &lo, &hi, Some(&last_basis), 100_000)
+            .unwrap_or_else(|e| panic!("round {round}: revised warm solve failed: {e:?}"));
+        let cold = seed_baseline::solve_relaxation(&p, &lo, &hi, 100_000)
+            .unwrap_or_else(|e| panic!("round {round}: seed reference failed: {e:?}"));
         let dev = (warm.objective - cold.objective).abs() / (1.0 + cold.objective.abs());
         worst = worst.max(dev);
         assert!(
             dev < 1e-6,
-            "round {round}: revised warm {} drifted from dense cold {} (relative {dev:e})",
+            "round {round}: revised warm {} drifted from seed {} (relative {dev:e})",
             warm.objective,
             cold.objective
         );
@@ -335,22 +329,22 @@ fn revised_warm_reuse_never_drifts_over_thousands_of_reuses() {
     );
 
     // Pin the refresh policy. Every mid-stream refactorization consumes at
-    // least `eta_limit(m)` accumulated pivots, so the count is bounded by
-    // the pivot budget; and with thousands of reuses each pushing a few
+    // least `update_limit(m)` accumulated pivots, so the count is bounded
+    // by the pivot budget; and with thousands of reuses each pushing a few
     // pivots the policy must actually fire rather than never refresh.
     let (factorizations, refactorizations) = revised.factorization_counts();
     let m = sk.num_rows();
     assert!(
         refactorizations >= 1,
-        "the eta-limit refresh policy never fired over {ROUNDS} reuses \
-         ({total_iterations} pivots, eta limit {})",
-        eta_limit(m)
+        "the update-limit refresh policy never fired over {ROUNDS} reuses \
+         ({total_iterations} pivots, update limit {})",
+        update_limit(m)
     );
     assert!(
-        refactorizations <= total_iterations / eta_limit(m) + 1,
+        refactorizations <= total_iterations / update_limit(m) + 1,
         "more refreshes ({refactorizations}) than the pivot budget admits \
-         ({total_iterations} pivots / eta limit {})",
-        eta_limit(m)
+         ({total_iterations} pivots / update limit {})",
+        update_limit(m)
     );
     // Cold fills are the only other factorization source: the root solve
     // plus one per warm miss.
@@ -364,10 +358,10 @@ fn revised_warm_reuse_never_drifts_over_thousands_of_reuses() {
     );
 }
 
-/// The revised engine inside full branch & bound agrees with the dense
-/// engine at a zero gap and reports its factorization counters.
+/// The revised engine inside full branch & bound agrees with the seed
+/// oracle at a zero gap and reports its factorization counters.
 #[test]
-fn revised_branch_and_bound_matches_dense_and_reports_factorizations() {
+fn revised_branch_and_bound_matches_seed_and_reports_factorizations() {
     let mut p = Problem::new("bb-engines", Sense::Maximize);
     let vars: Vec<_> = (0..10)
         .map(|i| p.add_int_var(format!("x{i}"), 0.0, 5.0))
@@ -397,17 +391,17 @@ fn revised_branch_and_bound_matches_dense_and_reports_factorizations() {
             ..exact.clone()
         })
         .unwrap();
-    let dense = p
+    let seed = p
         .solve_with(&SolveOptions {
-            engine: Engine::DenseTableau,
+            engine: Engine::SeedBaseline,
             ..exact
         })
         .unwrap();
     assert!(
-        (revised.objective() - dense.objective()).abs() < 1e-6,
-        "revised {} vs dense {}",
+        (revised.objective() - seed.objective()).abs() < 1e-6,
+        "revised {} vs seed {}",
         revised.objective(),
-        dense.objective()
+        seed.objective()
     );
     let stats = revised.stats();
     assert!(
@@ -415,9 +409,9 @@ fn revised_branch_and_bound_matches_dense_and_reports_factorizations() {
         "revised engine must report factorizations: {stats:?}"
     );
     assert_eq!(
-        dense.stats().basis_factorizations,
+        seed.stats().basis_factorizations,
         0,
-        "dense engine has no LU factorizations"
+        "the seed tableau has no LU factorizations"
     );
 }
 
@@ -457,5 +451,44 @@ fn solve_stats_report_warm_start_rate() {
             stats.warm_start_hits + stats.warm_start_misses > 0,
             "multi-node solve attempted no warm starts: {stats:?}"
         );
+    }
+}
+
+/// Admission models over a sweep of residual capacities: several of them
+/// drive the basis through tiny pivots whose Forrest–Tomlin updates lose
+/// accuracy. The update's accuracy guard must catch that (refactorizing or
+/// rejecting the pivot) so every one of them solves to a plan instead of
+/// aborting as numerically lost.
+#[test]
+fn ill_conditioned_admission_models_still_solve() {
+    use conductor_cloud::Catalog;
+    use conductor_core::{Goal, ModelConfig, Planner, ResourcePool};
+    use conductor_mapreduce::Workload;
+
+    let catalog = Catalog::aws_july_2011();
+    let deadline = 22.0;
+    let mut forecast = std::collections::BTreeMap::new();
+    forecast.insert("m1.large".to_string(), vec![0.2; 22]);
+    let config = ModelConfig {
+        price_forecast: forecast,
+        ..ModelConfig::default()
+    };
+    for cap in [5, 10, 12, 13, 14, 15, 23] {
+        let pool = ResourcePool::from_catalog(&catalog, 1.0)
+            .with_compute_only(&["m1.large"])
+            .with_compute_cap("m1.large", cap);
+        let planner = Planner::new(pool).with_solve_options(SolveOptions {
+            relative_gap: 0.02,
+            max_nodes: 2_000,
+            ..Default::default()
+        });
+        let planned = planner.plan_with_config(
+            &Workload::KMeans32Gb.spec(),
+            Goal::MinimizeCost {
+                deadline_hours: deadline,
+            },
+            &config,
+        );
+        assert!(planned.is_ok(), "cap {cap}: {:?}", planned.err());
     }
 }
